@@ -1,10 +1,10 @@
 """The identity language and the two checking strategies.
 
 Identities are equations over variables, mu(...) and al(...) (powers via
-al^k), normalized to lhs - rhs = 0.  Multilinear identities can be checked
-on basis tuples; everything can be checked on generic elements, where the
-coordinates become fresh indeterminates and the check is exact polynomial
-zero-testing.
+al^k), normalized to lhs - rhs = 0.  Every check evaluates once on generic
+elements, whose coordinates are fresh indeterminates, and is exact
+polynomial zero-testing.  Multilinear identities may also report a failure
+at a basis tuple instead of as a generic residual.
 """
 
 from homalgebra import catalog

@@ -465,20 +465,23 @@ def is_endomorphism(A, f):
         raise DimensionMismatch("map dimension %d vs algebra dimension %d"
                                 % (f.dim, A.dim))
     assumptions = _collect_constraints(A.mu_scalars(), f.scalars())
+    witness = _product_defect(A, A, f)
+    if witness is not None:
+        return CheckReport("fails", witness, assumptions)
+    return CheckReport(_verdict(assumptions), None, assumptions)
+
+
+def _product_defect(A, B, f):
+    """Witness at the first basis pair where f(mu_A(bi, bj)) and
+    mu_B(f bi, f bj) differ, or None."""
     images = [apply_map(f, A.basis_vector(j)) for j in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = apply_map(f, A.product_on_basis(i, j))
-            rhs = mul(A, images[i], images[j])
-            diff = lhs - rhs
+            diff = (apply_map(f, A.product_on_basis(i, j))
+                    - mul(B, images[i], images[j]))
             if not diff.is_zero():
-                k = _first_nonzero(diff)
-                witness = Witness(at=(A.basis[i], A.basis[j]),
-                                  coordinate=A.basis[k],
-                                  residual=diff.coords[k],
-                                  residual_vector=diff)
-                return CheckReport("fails", witness, assumptions)
-    return CheckReport(_verdict(assumptions), None, assumptions)
+                return _defect((A.basis[i], A.basis[j]), B.basis, diff)
+    return None
 
 
 def _first_nonzero(vec):
@@ -486,6 +489,14 @@ def _first_nonzero(vec):
         if not c.is_zero():
             return k
     raise ValueError("vector is zero")
+
+
+def _defect(at, labels, diff, specialization=None):
+    """Witness for a nonzero vector, reported at its first nonzero
+    coordinate."""
+    k = _first_nonzero(diff)
+    return Witness(at=at, coordinate=labels[k], residual=diff.coords[k],
+                   residual_vector=diff, specialization=specialization)
 
 
 def yau_twist(A, f, force=False, name=None):
@@ -560,34 +571,20 @@ def is_morphism(A, B, f):
     if A.dim != B.dim or f.dim != A.dim:
         raise DimensionMismatch("morphism check needs equal dimensions")
     assumptions = _collect_constraints(A.mu_scalars(), B.mu_scalars(), f.scalars())
-    images = [apply_map(f, A.basis_vector(j)) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = apply_map(f, A.product_on_basis(i, j))
-            rhs = mul(B, images[i], images[j])
-            diff = lhs - rhs
-            if not diff.is_zero():
-                k = _first_nonzero(diff)
-                witness = Witness(at=(A.basis[i], A.basis[j]),
-                                  coordinate=B.basis[k],
-                                  residual=diff.coords[k],
-                                  residual_vector=diff)
-                return CheckReport("fails", witness, assumptions)
+    witness = _product_defect(A, B, f)
+    if witness is not None:
+        return CheckReport("fails", witness, assumptions)
     if A.alpha is not None and B.alpha is not None:
         assumptions = _collect_constraints(
             A.mu_scalars(), B.mu_scalars(), f.scalars(),
             A.alpha.scalars(), B.alpha.scalars())
         for j in range(A.dim):
             lhs = apply_map(f, apply_map(A.alpha, A.basis_vector(j)))
-            rhs = apply_map(B.alpha, images[j])
+            rhs = apply_map(B.alpha, apply_map(f, A.basis_vector(j)))
             diff = lhs - rhs
             if not diff.is_zero():
-                k = _first_nonzero(diff)
-                witness = Witness(at=(A.basis[j],),
-                                  coordinate=B.basis[k],
-                                  residual=diff.coords[k],
-                                  residual_vector=diff)
-                return CheckReport("fails", witness, assumptions)
+                return CheckReport("fails", _defect((A.basis[j],), B.basis, diff),
+                                   assumptions)
     return CheckReport(_verdict(assumptions), None, assumptions)
 
 
@@ -602,12 +599,8 @@ def check_unit(A, u):
             prod = mul(A, u, bj) if left else mul(A, bj, u)
             diff = prod - bj
             if not diff.is_zero():
-                k = _first_nonzero(diff)
-                witness = Witness(at=(A.basis[j],),
-                                  coordinate=A.basis[k],
-                                  residual=diff.coords[k],
-                                  residual_vector=diff)
-                return CheckReport("fails", witness, assumptions)
+                return CheckReport("fails", _defect((A.basis[j],), A.basis, diff),
+                                   assumptions)
     return CheckReport(_verdict(assumptions), None, assumptions)
 
 

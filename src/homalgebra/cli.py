@@ -41,8 +41,8 @@ from .fileio import CheckRecord, Report, load, save, saves
 from .identities import builtin, check, check_builtin, is_multilinear
 from .parser import parse_identity
 
-# default verify suite: cheap multilinear checks on basis tuples first,
-# then the nonlinear identities on generic elements
+# default verify suite: the multilinear identities first (reported with a
+# basis-tuple witness), then the nonlinear ones (a generic residual)
 _DEFAULT_SUITE = (
     "commutative",
     "hom_associative",
@@ -87,8 +87,11 @@ def _build_parser():
     p.add_argument("--expr", action="append", default=[],
                    help="identity equation in the surface syntax (repeatable)")
     p.add_argument("--strategy", choices=("generic", "basis"),
-                   help="force a strategy; default picks basis for "
-                        "multilinear identities and generic otherwise")
+                   help="witness form for a failing check: a basis tuple "
+                        "(multilinear identities only) or a generic "
+                        "residual with a counterexample; default picks "
+                        "basis for multilinear identities and generic "
+                        "otherwise. Both evaluate once on generic elements")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_verify)
 

@@ -2,15 +2,18 @@
 
 An IdentityAST is an expression tree over variables, the product mu, powers
 of the twisting map, rational coefficients and signed sums, asserted equal
-to zero.  Two checking strategies:
+to zero.  A check binds every variable to a vector of fresh indeterminates,
+evaluates the identity once and tests that every coordinate is the
+identically-zero rational function.  This is sound and complete for
+arbitrary (also nonlinear) identities over the infinite coefficient field.
+The two strategies differ only in the witness of a failure:
 
-  generic - bind every variable to a vector of fresh indeterminates and test
-            that every coordinate is the identically-zero rational function.
-            Sound and complete for arbitrary (also nonlinear) identities over
-            the infinite coefficient field; this is the ground truth.
-  basis   - evaluate on all basis tuples.  Complete only for multilinear
-            identities (each product monomial uses each variable exactly
-            once), where it is the cheap path.
+  generic - the first nonzero coordinate of the generic residual, with small
+            integer coordinates that exhibit a concrete counterexample.
+  basis   - the first basis tuple (last variable moving fastest) at which the
+            identity fails.  Only for multilinear identities (each product
+            monomial uses each variable exactly once), whose residual holds
+            the value at (b_i, b_j, ...) as the coefficient of x_i*y_j*...
 
 The builtin catalog holds the twisted associativity, alternativity (plain
 and linearized), flexibility, associator alternation, commutativity, Jordan
@@ -25,14 +28,23 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import CheckReport, Vector, Witness, apply_map, compose, mul
+from .algebra import (
+    CheckReport,
+    Vector,
+    _collect_constraints,
+    _defect,
+    _verdict,
+    apply_map,
+    compose,
+    mul,
+)
 from .errors import (
     MissingTwistMap,
     NotMultilinear,
     UnboundVariable,
     UnknownIdentity,
 )
-from .scalars import Scalar, name_key
+from .scalars import Monomial, Polynomial, Scalar, normalize
 
 
 # --- AST ------------------------------------------------------------------------
@@ -264,29 +276,36 @@ def generic_element(A, var, taken=()):
 
 
 def check(A, ast, strategy="generic"):
-    """Verify ast = 0 over A, universally in its variables."""
+    """Verify ast = 0 over A, universally in its variables.
+
+    Both strategies evaluate once on generic elements; see the module
+    docstring for the witness each gives when the identity fails.
+    """
     if strategy not in ("generic", "basis"):
         raise ValueError("unknown strategy %r" % strategy)
+    if strategy == "basis" and not is_multilinear(ast):
+        raise NotMultilinear(
+            "basis strategy is only sound for multilinear identities")
+    uses_alpha = A.alpha is not None and _uses_alpha(ast.body)
+    assumptions = _collect_constraints(
+        A.mu_scalars(), A.alpha.scalars() if uses_alpha else None,
+        _scale_coeffs(ast.body))
+    bindings = {}
+    taken = set()
+    for v in ast.vars:
+        vec = generic_element(A, v, taken)
+        for c in vec.coords:
+            taken |= c.variables()
+        bindings[v] = vec
+    value = evaluate(A, ast, bindings)
+    if value.is_zero():
+        return CheckReport(_verdict(assumptions), None, assumptions)
     if strategy == "basis":
-        if not is_multilinear(ast):
-            raise NotMultilinear(
-                "basis strategy is only sound for multilinear identities")
-        return _check_on_basis(A, ast)
-    return _check_generic(A, ast)
-
-
-def _base_assumptions(A, ast):
-    sources = [A.mu_scalars()]
-    if A.alpha is not None and _uses_alpha(ast.body):
-        sources.append(A.alpha.scalars())
-    sources.append(_scale_coeffs(ast.body))
-    seen = []
-    for source in sources:
-        for s in source:
-            for c in s.nonzero_constraints():
-                if c not in seen:
-                    seen.append(c)
-    return tuple(sorted(seen, key=name_key))
+        witness = _basis_witness(A, ast, bindings, value)
+    else:
+        witness = _defect(None, A.basis, value,
+                          _find_specialization(value, bindings, A))
+    return CheckReport("fails", witness, assumptions)
 
 
 def _scale_coeffs(node):
@@ -303,64 +322,38 @@ def _scale_coeffs(node):
             yield from _scale_coeffs(child)
 
 
-def _check_on_basis(A, ast):
-    assumptions = _base_assumptions(A, ast)
-    k = len(ast.vars)
-    indices = [0] * k
-    while True:
-        bindings = {v: A.basis_vector(indices[p]) for p, v in enumerate(ast.vars)}
-        value = evaluate(A, ast, bindings)
-        if not value.is_zero():
-            coord = _first_nonzero_index(value)
-            witness = Witness(
-                at=tuple(A.basis[i] for i in indices),
-                coordinate=A.basis[coord],
-                residual=value.coords[coord],
-                residual_vector=value)
-            return CheckReport("fails", witness, assumptions)
-        # advance the odometer
-        pos = k - 1
-        while pos >= 0:
-            indices[pos] += 1
-            if indices[pos] < A.dim:
-                break
-            indices[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-    verdict = "holds-under-assumptions" if assumptions else "holds"
-    return CheckReport(verdict, None, assumptions)
+def _basis_witness(A, ast, bindings, value):
+    """Witness at the lexicographically first failing basis tuple.
 
+    Every numerator monomial of a multilinear residual holds exactly one
+    generic coordinate of each variable; the monomials naming x_i, y_j, ...
+    sum to the value at (b_i, b_j, ...) times the coordinate's denominator.
+    """
+    slot = {}
+    for p, v in enumerate(ast.vars):
+        for i, c in enumerate(bindings[v].coords):
+            (name,) = c.variables()
+            slot[name] = (p, i)
 
-def _first_nonzero_index(vec):
-    for k, c in enumerate(vec.coords):
-        if not c.is_zero():
-            return k
-    raise ValueError("vector is zero")
+    def split(mono):
+        at = [0] * len(ast.vars)
+        rest = []
+        for name, e in mono.exps:
+            if name in slot:
+                p, i = slot[name]
+                at[p] = i
+            else:
+                rest.append((name, e))
+        return tuple(at), Monomial(rest)
 
-
-def _check_generic(A, ast):
-    assumptions = _base_assumptions(A, ast)
-    bindings = {}
-    taken = set()
-    for v in ast.vars:
-        vec = generic_element(A, v, taken)
-        for c in vec.coords:
-            taken |= c.variables()
-        bindings[v] = vec
-    value = evaluate(A, ast, bindings)
-    if value.is_zero():
-        verdict = "holds-under-assumptions" if assumptions else "holds"
-        return CheckReport(verdict, None, assumptions)
-    coord = _first_nonzero_index(value)
-    residual = value.coords[coord]
-    spec = _find_specialization(value, bindings, A)
-    witness = Witness(at=None,
-                      coordinate=A.basis[coord],
-                      residual=residual,
-                      residual_vector=value,
-                      specialization=spec)
-    return CheckReport("fails", witness, assumptions)
+    terms = [[split(m) + (coeff,) for m, coeff in c.num.terms.items()]
+             for c in value.coords]
+    at = min(t for coord_terms in terms for t, _, _ in coord_terms)
+    at_value = Vector([
+        normalize(Polynomial({m: coeff for t, m, coeff in coord_terms
+                              if t == at}), c.den)
+        for coord_terms, c in zip(terms, value.coords)])
+    return _defect(tuple(A.basis[i] for i in at), A.basis, at_value)
 
 
 def _find_specialization(value, bindings, A, tries=120):
@@ -384,11 +377,7 @@ def _find_specialization(value, bindings, A, tries=120):
         for c in value.coords:
             if c.is_zero():
                 continue
-            try:
-                specialized = c.num.substitute(point)
-            except Exception:
-                break
-            if not specialized.is_zero():
+            if not c.num.substitute(point).is_zero():
                 out = {}
                 for var, vec in bindings.items():
                     out[var] = tuple(
@@ -447,8 +436,10 @@ def _make_builtins():
     entries = []
 
     def add(name, asts, surfaces, **kw):
-        entries.append(BuiltinIdentity(name=name, asts=tuple(asts),
-                                       surfaces=tuple(surfaces), **kw))
+        entry = BuiltinIdentity(name=name, asts=tuple(asts),
+                                surfaces=tuple(surfaces), **kw)
+        entries.append(entry)
+        return entry
 
     add("hom_associative",
         [IdentityAST(("x", "y", "z"), _associator(x, y, z))],
@@ -467,38 +458,35 @@ def _make_builtins():
         ["mu(al(x), mu(y, y)) = mu(mu(x, y), al(y))"],
         note="twisted right alternativity")
 
-    add("left_hom_alternative_linearized",
+    left_linearized = add(
+        "left_hom_alternative_linearized",
         [IdentityAST(("x", "y", "z"),
                      _plus(_associator(x, y, z), _associator(y, x, z)))],
         ["mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
          " + mu(al(y), mu(x, z)) - mu(mu(y, x), al(z)) = 0"],
         note="left alternativity with the repeated variable split")
 
-    add("right_hom_alternative_linearized",
+    right_linearized = add(
+        "right_hom_alternative_linearized",
         [IdentityAST(("x", "y", "z"),
                      _plus(_associator(x, y, z), _associator(x, z, y)))],
         ["mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
          " + mu(al(x), mu(z, y)) - mu(mu(x, z), al(y)) = 0"],
         note="right alternativity with the repeated variable split")
 
-    add("hom_flexible",
+    flexible = add(
+        "hom_flexible",
         [IdentityAST(("x", "y"),
                      _diff(_mu(_al(x), _mu(y, x)), _mu(_mu(x, y), _al(x))))],
         ["mu(al(x), mu(y, x)) = mu(mu(x, y), al(x))"],
         note="twisted flexibility")
 
     add("associator_alternating_12",
-        [IdentityAST(("x", "y", "z"),
-                     _plus(_associator(x, y, z), _associator(y, x, z)))],
-        ["mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
-         " + mu(al(y), mu(x, z)) - mu(mu(y, x), al(z)) = 0"],
+        left_linearized.asts, left_linearized.surfaces,
         note="associator changes sign when the first two arguments swap")
 
     add("associator_alternating_23",
-        [IdentityAST(("x", "y", "z"),
-                     _plus(_associator(x, y, z), _associator(x, z, y)))],
-        ["mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
-         " + mu(al(x), mu(z, y)) - mu(mu(x, z), al(y)) = 0"],
+        right_linearized.asts, right_linearized.surfaces,
         note="associator changes sign when the last two arguments swap")
 
     add("associator_alternating_13",
@@ -513,12 +501,11 @@ def _make_builtins():
         ["mu(x, y) = mu(y, x)"],
         note="commutativity of the product")
 
-    jordan_ast = IdentityAST(
-        ("x", "y"),
-        _diff(_mu(_al(x, 2), _mu(y, _mu(x, x))),
-              _mu(_mu(_al(x), y), _al(_mu(x, x)))))
-    add("hom_jordan",
-        [jordan_ast],
+    jordan = add(
+        "hom_jordan",
+        [IdentityAST(("x", "y"),
+                     _diff(_mu(_al(x, 2), _mu(y, _mu(x, x))),
+                           _mu(_mu(_al(x), y), _al(_mu(x, x)))))],
         ["mu(al^2(x), mu(y, mu(x, x))) = mu(mu(al(x), y), al(mu(x, x)))"],
         requires_commutative=True,
         note="twisted Jordan identity, with al^2 on the leading factor")
@@ -555,8 +542,6 @@ def _make_builtins():
         note="right product consequence for anticommuting x, y; evaluate on "
              "bindings with mu(x, y) = -mu(y, x)")
 
-    flexible = next(e for e in entries if e.name == "hom_flexible")
-    jordan = next(e for e in entries if e.name == "hom_jordan")
     add("noncommutative_hom_jordan",
         [flexible.asts[0], jordan.asts[0]],
         [flexible.surfaces[0], jordan.surfaces[0]],
@@ -592,5 +577,5 @@ def check_builtin(A, name, strategy="generic"):
         for c in report.assumptions:
             if c not in merged_assumptions:
                 merged_assumptions.append(c)
-    verdict = "holds-under-assumptions" if merged_assumptions else "holds"
-    return CheckReport(verdict, None, tuple(merged_assumptions))
+    return CheckReport(_verdict(merged_assumptions), None,
+                       tuple(merged_assumptions))

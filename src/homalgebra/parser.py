@@ -21,6 +21,9 @@ Identifiers other than al/mu are identity variables, collected in first-use
 order.  Rational coefficients are literal p or p/q; parametric coefficients
 are only available through the programmatic AST.  The parsed equation is
 normalized to lhs - rhs = 0.
+
+Both grammars recurse once per open bracket, so the tokenizer refuses input
+nested deeper than _MAX_NESTING.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .identities import Alpha, IdentityAST, Mu, Scale, Sum, Var
 from .scalars import Scalar
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
+_MAX_NESTING = 100   # far beyond real expressions, within Python's stack
 
 
 class _Token:
@@ -50,7 +54,7 @@ class _Token:
 
 def _tokenize(text):
     tokens = []
-    i, line, col = 0, 1, 1
+    i, line, col, depth = 0, 1, 1, 0
     n = len(text)
     while i < n:
         ch = text[i]
@@ -75,6 +79,10 @@ def _tokenize(text):
                 col += 1
             tokens.append(_Token("ident", text[start:i], start, sline, scol))
         elif ch in _SYMBOLS:
+            depth += (ch == "(") - (ch == ")")
+            if depth > _MAX_NESTING:
+                raise ParseError("nesting deeper than %d levels" % _MAX_NESTING,
+                                 start, sline, scol, expected="')'", found=ch)
             i += 1
             col += 1
             tokens.append(_Token(ch, ch, start, sline, scol))

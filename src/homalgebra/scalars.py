@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
 
 from .errors import (
     DivisionByZero,
@@ -24,6 +24,7 @@ from .errors import (
 _NAME_CHUNKS = re.compile(r"(\d+)")
 
 
+@lru_cache(maxsize=4096)
 def name_key(name):
     """Digit-aware sort key for variable names: 'a2' sorts before 'a10'."""
     parts = _NAME_CHUNKS.split(name)

@@ -242,3 +242,29 @@ class TestCatalogCommands:
     def test_missing_file_exits_two(self, capsys):
         code, _, _ = run(capsys, "verify", "/does/not/exist.json")
         assert code == 2
+
+
+class TestNestingLimit:
+    def test_deep_expr_exits_two(self, emit, capsys):
+        path = emit("alt4_mu1_twist_alpha1")
+        for head in ("(", "al(", "mu(x, "):
+            deep = head * 400 + "y" + ")" * 400
+            code, _, err = run(capsys, "verify", path, "--expr", deep + " = 0")
+            assert code == 2
+            assert "nesting deeper than" in err
+
+    def test_deep_scalar_in_file_exits_two(self, emit, capsys, tmp_path):
+        doc = json.loads(saves(catalog.get("hom_assoc_3d").algebra))
+        doc["mu"][0]["value"]["e1"] = "(" * 600 + "a" + ")" * 600
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert "nesting deeper than" in err
+
+    def test_nesting_at_the_limit_is_accepted(self, emit, capsys):
+        path = emit("alt4_mu1_twist_alpha1")
+        deep = "(" * 99 + "x" + ")" * 99
+        code, _, _ = run(capsys, "verify", path,
+                         "--expr", "mu(%s, y) = mu(x, y)" % deep)
+        assert code == 0

@@ -1,12 +1,20 @@
 """Identity evaluation, the two checking strategies, multilinearity and the
 builtin catalog."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from homalgebra import catalog
-from homalgebra.algebra import LinMap, Vector, polarize, yau_twist
+from homalgebra.algebra import (
+    AlgebraSpec,
+    LinMap,
+    Param,
+    Vector,
+    polarize,
+    yau_twist,
+)
 from homalgebra.errors import (
     MissingTwistMap,
     NotMultilinear,
@@ -273,6 +281,51 @@ class TestStructuralProperties:
             g = check_builtin(A, name, "generic")
             b = check_builtin(A, name, "basis")
             assert g.holds == b.holds, name
+
+
+def _odometer(A, ast):
+    """Reference for the basis strategy, independent of the generic residual:
+    evaluate on every basis tuple, the last variable moving fastest, and
+    return (at, coordinate, residual) of the first nonzero value, or None."""
+    for at in itertools.product(range(A.dim), repeat=len(ast.vars)):
+        value = evaluate(A, ast, {v: A.basis_vector(i)
+                                  for v, i in zip(ast.vars, at)})
+        for k, c in enumerate(value.coords):
+            if not c.is_zero():
+                return tuple(A.basis[i] for i in at), A.basis[k], c
+    return None
+
+
+def _x1_table():
+    # the parameter x_1 pushes the generic coordinates of x to gx_1, gx_2
+    x1 = S("x_1")
+    return AlgebraSpec(
+        "x1_table", 2, ["v", "w"], params=[Param("x_1", True)],
+        mu=[(0, 0, 1, x1), (0, 1, 1, Scalar.one() / x1), (1, 0, 0, x1 - 1)],
+        alpha=LinMap.diagonal([Scalar.one(), x1]))
+
+
+_MULTILINEAR = [n for n in builtin_names()
+                if all(is_multilinear(a) for a in builtin(n).asts)]
+
+
+@pytest.mark.parametrize("name", _MULTILINEAR)
+@pytest.mark.parametrize("key", catalog.list_keys() + ("x1_table",))
+def test_basis_witness_matches_odometer(key, name):
+    if key == "x1_table":
+        A = _x1_table()
+    else:
+        A = catalog.get(key).algebra
+        A = A if A.alpha is not None else A.with_identity_alpha()
+    for ast in builtin(name).asts:
+        report = check(A, ast, "basis")
+        expected = _odometer(A, ast)
+        if expected is None:
+            assert report.holds
+        else:
+            w = report.witness
+            assert report.verdict == "fails"
+            assert (w.at, w.coordinate, w.residual) == expected
 
 
 class TestGenericElements:
