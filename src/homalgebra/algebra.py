@@ -118,11 +118,6 @@ class LinMap:
             raise DimensionMismatch("linear map matrix must be square")
 
     @classmethod
-    def from_columns(cls, columns):
-        n = len(columns)
-        return cls([[columns[j][i] for j in range(n)] for i in range(n)])
-
-    @classmethod
     def diagonal(cls, entries):
         n = len(entries)
         return cls([[entries[i] if i == j else Scalar.zero() for j in range(n)]
@@ -134,9 +129,6 @@ class LinMap:
 
     def entry(self, i, j):
         return self.rows[i][j]
-
-    def column(self, j):
-        return Vector([self.rows[i][j] for i in range(self.dim)])
 
     def scalars(self):
         for row in self.rows:
@@ -406,10 +398,6 @@ class AlgebraSpec:
     def with_identity_alpha(self):
         return self.with_alpha(identity(self.dim))
 
-    def with_name(self, name):
-        return AlgebraSpec(name, self.dim, self.basis, self.params,
-                           self.mu, self.alpha, self.unit)
-
     def substitute(self, bindings):
         """Specialize some parameters to rationals, keeping the rest."""
         remaining = tuple(p for p in self.params if p.name not in bindings)
@@ -513,37 +501,28 @@ def yau_twist(A, f, force=False, name=None):
             raise NotEndomorphism(
                 "map is not an endomorphism of %r (defect at %s)"
                 % (A.name, report.witness.at), report)
-    mu_entries = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = A.product_on_basis(i, j)
-            if prod.is_zero():
-                continue
-            image = apply_map(f, prod)
-            for k, c in enumerate(image.coords):
-                if not c.is_zero():
-                    mu_entries.append((i, j, k, c))
     return AlgebraSpec(name or A.name + "_twist", A.dim, A.basis, A.params,
-                       mu_entries, alpha=f, unit=A.unit)
+                       _mapped_products(A, f), alpha=f, unit=A.unit)
 
 
 def untwist(A, name=None):
     """Recover the untwisted product alpha^{-1} o mu; clears the twist map."""
     if A.alpha is None:
         raise MissingTwistMap("algebra %r has no twisting map" % A.name)
-    inv = invert(A.alpha)
-    mu_entries = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            prod = A.product_on_basis(i, j)
-            if prod.is_zero():
-                continue
-            image = apply_map(inv, prod)
-            for k, c in enumerate(image.coords):
-                if not c.is_zero():
-                    mu_entries.append((i, j, k, c))
     return AlgebraSpec(name or A.name + "_untwist", A.dim, A.basis, A.params,
-                       mu_entries, alpha=None, unit=A.unit)
+                       _mapped_products(A, invert(A.alpha)), alpha=None,
+                       unit=A.unit)
+
+
+def _mapped_products(A, f):
+    """Structure constants (i, j, k, c) of the product f o mu."""
+    entries = []
+    for i, j in A._table:
+        image = apply_map(f, A.product_on_basis(i, j))
+        for k, c in enumerate(image.coords):
+            if not c.is_zero():
+                entries.append((i, j, k, c))
+    return entries
 
 
 def opposite(A, name=None):
@@ -610,8 +589,7 @@ def check_unit(A, u):
 class _Echelon:
     """Row echelon basis over Scalars, fraction-free, first-nonzero pivoting."""
 
-    def __init__(self, dim):
-        self.dim = dim
+    def __init__(self):
         self.rows = []          # list of (pivot_col, Vector)
         self.pivot_constraints = []
 
@@ -640,16 +618,13 @@ class _Echelon:
         self.rows.sort(key=lambda pr: pr[0])
         return True
 
-    def contains(self, v):
-        return self.reduce(v).is_zero()
-
     def vectors(self):
         return [row for _, row in self.rows]
 
 
 def is_subalgebra(A, gens):
     """Span of gens closed under the product (and under alpha, if present)?"""
-    ech = _Echelon(A.dim)
+    ech = _Echelon()
     for g in gens:
         if g.dim != A.dim:
             raise DimensionMismatch("generator dimension does not match the algebra")
@@ -670,22 +645,14 @@ def is_subalgebra(A, gens):
 
     for a, u in enumerate(span):
         for b, v in enumerate(span):
-            prod = mul(A, u, v)
-            residue = ech.reduce(prod)
+            residue = ech.reduce(mul(A, u, v))
             if not residue.is_zero():
-                witness = Witness(at=("span#%d" % a, "span#%d" % b),
-                                  coordinate=A.basis[_first_nonzero(residue)],
-                                  residual=residue.coords[_first_nonzero(residue)],
-                                  residual_vector=prod)
-                return finish("fails", witness)
+                return finish("fails", _defect(("span#%d" % a, "span#%d" % b),
+                                               A.basis, residue))
     if A.alpha is not None:
         for a, u in enumerate(span):
-            image = apply_map(A.alpha, u)
-            residue = ech.reduce(image)
+            residue = ech.reduce(apply_map(A.alpha, u))
             if not residue.is_zero():
-                witness = Witness(at=("span#%d" % a,),
-                                  coordinate=A.basis[_first_nonzero(residue)],
-                                  residual=residue.coords[_first_nonzero(residue)],
-                                  residual_vector=image)
-                return finish("fails", witness)
+                return finish("fails", _defect(("span#%d" % a,), A.basis,
+                                               residue))
     return finish("holds")

@@ -43,6 +43,8 @@ def loads(text, source="<string>"):
         raise ParseError("invalid algebra file %s: %s" % (source, exc.msg),
                          exc.pos, exc.lineno, exc.colno,
                          expected="well-formed JSON", found=None) from None
+    except RecursionError:
+        raise ValidationError("%s: JSON nested too deeply" % source) from None
     if not isinstance(doc, dict):
         raise ValidationError("%s: algebra file must be a JSON object" % source)
 
@@ -58,7 +60,7 @@ def loads(text, source="<string>"):
     index = {label: i for i, label in enumerate(basis)}
 
     params = []
-    for pos, p in enumerate(doc.get("params", ())):
+    for pos, p in enumerate(_need(doc, "params", list, source, default=[])):
         if not isinstance(p, dict) or "name" not in p:
             raise ValidationError("%s: params[%d] must be {name, nonzero}"
                                   % (source, pos))
@@ -68,7 +70,7 @@ def loads(text, source="<string>"):
         raise ValidationError("%s: duplicate parameter declaration" % source)
 
     def resolve(label, where):
-        if label not in index:
+        if not isinstance(label, str) or label not in index:
             raise ValidationError("%s: %s references unknown basis label %r"
                                   % (source, where, label))
         return index[label]
@@ -80,10 +82,13 @@ def loads(text, source="<string>"):
             raise ValidationError("%s: %s: %s" % (source, where, exc)) from None
 
     mu = []
-    for pos, entry in enumerate(doc.get("mu", ())):
+    for pos, entry in enumerate(_need(doc, "mu", list, source, default=[])):
         where = "mu[%d]" % pos
         if not isinstance(entry, dict) or not {"i", "j", "value"} <= set(entry):
             raise ValidationError("%s: %s must be {i, j, value}" % (source, where))
+        if not isinstance(entry["value"], dict):
+            raise ValidationError("%s: %s.value must be an object"
+                                  % (source, where))
         i = resolve(entry["i"], where)
         j = resolve(entry["j"], where)
         for lk, expr in entry["value"].items():
@@ -91,7 +96,8 @@ def loads(text, source="<string>"):
             mu.append((i, j, k, parse(str(expr), "%s.value[%s]" % (where, lk))))
 
     maps = {}
-    for mname, matrix in sorted(doc.get("maps", {}).items()):
+    for mname, matrix in sorted(_need(doc, "maps", dict, source,
+                                      default={}).items()):
         where = "maps[%s]" % mname
         if (not isinstance(matrix, list) or len(matrix) != dim
                 or any(not isinstance(row, list) or len(row) != dim
@@ -105,7 +111,7 @@ def loads(text, source="<string>"):
     twist = doc.get("twist")
     alpha = None
     if twist is not None:
-        if twist not in maps:
+        if not isinstance(twist, str) or twist not in maps:
             raise ValidationError("%s: twist %r does not name a map"
                                   % (source, twist))
         alpha = maps[twist]
@@ -121,8 +127,12 @@ def loads(text, source="<string>"):
     return AlgebraFile(algebra=algebra, maps=maps, twist=twist)
 
 
-def _need(doc, key, kind, source):
+def _need(doc, key, kind, source, default=None):
+    """doc[key], checked to be a kind; a missing key is an error unless a
+    default is given."""
     if key not in doc:
+        if default is not None:
+            return default
         raise ValidationError("%s: missing field %r" % (source, key))
     value = doc[key]
     if not isinstance(value, kind) or isinstance(value, bool):

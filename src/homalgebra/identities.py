@@ -1,12 +1,15 @@
-"""Symbolic identities over an algebra, evaluated exactly.
+"""Semantics of the identity language: evaluation, checking and the builtins.
 
-An IdentityAST is an expression tree over variables, the product mu, powers
-of the twisting map, rational coefficients and signed sums, asserted equal
-to zero.  A check binds every variable to a vector of fresh indeterminates,
-evaluates the identity once and tests that every coordinate is the
-identically-zero rational function.  This is sound and complete for
-arbitrary (also nonlinear) identities over the infinite coefficient field.
-The two strategies differ only in the witness of a failure:
+An IdentityAST (see homalgebra.parser, which holds the tree, the parser and
+the printer) is an expression over variables, the product mu, powers of the
+twisting map, rational coefficients and signed sums, asserted equal to zero.
+Evaluation computes each distinct subterm once, so a repeated subterm such
+as mu(x, x) in the Jordan identities costs one product.  A check binds every
+variable to a vector of fresh indeterminates, evaluates the identity once
+and tests that every coordinate is the identically-zero rational function.
+This is sound and complete for arbitrary (also nonlinear) identities over
+the infinite coefficient field.  The two strategies differ only in the
+witness of a failure:
 
   generic - the first nonzero coordinate of the generic residual, with small
             integer coordinates that exhibit a concrete counterexample.
@@ -19,7 +22,8 @@ The builtin catalog holds the twisted associativity, alternativity (plain
 and linearized), flexibility, associator alternation, commutativity, Jordan
 identities and their variant shapes, plus the two anticommuting-pair
 consequences which are meant to be evaluated on chosen bindings rather than
-universally.
+universally.  Each builtin is defined by its surface form alone and parsed
+on the first lookup.
 """
 
 from __future__ import annotations
@@ -44,113 +48,20 @@ from .errors import (
     UnboundVariable,
     UnknownIdentity,
 )
+# the tree and its printer are re-exported, so homalgebra.identities.Var
+# and the other names keep resolving
+from .parser import (
+    Alpha,
+    IdentityAST,
+    Mu,
+    Scale,
+    Sum,
+    Var,
+    _subterms,
+    identity_to_text,
+    parse_identity,
+)
 from .scalars import Monomial, Polynomial, Scalar, normalize
-
-
-# --- AST ------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Alpha:
-    power: int
-    child: object
-
-    def __post_init__(self):
-        if self.power < 1:
-            raise ValueError("Alpha power must be >= 1")
-
-
-@dataclass(frozen=True)
-class Mu:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Scale:
-    coeff: Scalar
-    child: object
-
-
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, node) with sign +1 / -1
-
-
-@dataclass(frozen=True)
-class IdentityAST:
-    """Expression asserted to vanish for all values of its variables."""
-
-    vars: tuple
-    body: object
-
-
-def _v(name):
-    return Var(name)
-
-
-def _al(child, power=1):
-    return Alpha(power, child)
-
-
-def _mu(left, right):
-    return Mu(left, right)
-
-
-def _diff(a, b):
-    return Sum(((1, a), (-1, b)))
-
-
-def _plus(*nodes):
-    terms = []
-    for node in nodes:
-        if isinstance(node, Sum):
-            terms.extend(node.terms)
-        else:
-            terms.append((1, node))
-    return Sum(tuple(terms))
-
-
-def _associator(x, y, z):
-    """mu(al(x), mu(y, z)) - mu(mu(x, y), al(z)) as an AST."""
-    return _diff(_mu(_al(x), _mu(y, z)), _mu(_mu(x, y), _al(z)))
-
-
-def identity_to_text(ast):
-    """Surface form of an AST in the identity grammar, as 'expr = 0'."""
-    return "%s = 0" % _node_text(ast.body, top=True)
-
-
-def _node_text(node, top=False):
-    if isinstance(node, Var):
-        return node.name
-    if isinstance(node, Alpha):
-        head = "al" if node.power == 1 else "al^%d" % node.power
-        return "%s(%s)" % (head, _node_text(node.child, top=True))
-    if isinstance(node, Mu):
-        return "mu(%s, %s)" % (_node_text(node.left, top=True),
-                               _node_text(node.right, top=True))
-    if isinstance(node, Scale):
-        coeff = node.coeff.num.constant_value()
-        return "%s*%s" % (coeff, _node_text(node.child))
-    if isinstance(node, Sum):
-        if not node.terms:
-            return "0"
-        parts = []
-        for sign, child in node.terms:
-            text = _node_text(child)
-            if not parts:
-                parts.append(text if sign > 0 else "-" + text)
-            else:
-                parts.append((" + " if sign > 0 else " - ") + text)
-        body = "".join(parts)
-        return body if top else "(%s)" % body
-    raise TypeError("unknown AST node %r" % (node,))
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -161,8 +72,7 @@ def evaluate(A, ast, bindings):
     for v in ast.vars:
         if v not in bindings:
             raise UnboundVariable("identity variable %r is not bound" % v)
-    alpha_powers = {}
-    return _eval_node(A, ast.body, bindings, alpha_powers)
+    return _eval_node(A, ast.body, bindings, {}, {})
 
 
 def _alpha_power(A, k, cache):
@@ -177,37 +87,41 @@ def _alpha_power(A, k, cache):
     return cache[k]
 
 
-def _eval_node(A, node, bindings, cache):
+def _eval_node(A, node, bindings, cache, memo):
+    """Value of node; memo maps each subterm evaluated so far to its value."""
     if isinstance(node, Var):
         try:
             return bindings[node.name]
         except KeyError:
             raise UnboundVariable("identity variable %r is not bound"
                                   % node.name) from None
+    value = memo.get(node)
+    if value is not None:
+        return value
     if isinstance(node, Alpha):
-        return apply_map(_alpha_power(A, node.power, cache),
-                         _eval_node(A, node.child, bindings, cache))
-    if isinstance(node, Mu):
-        return mul(A, _eval_node(A, node.left, bindings, cache),
-                   _eval_node(A, node.right, bindings, cache))
-    if isinstance(node, Scale):
-        return _eval_node(A, node.child, bindings, cache).scale(node.coeff)
-    if isinstance(node, Sum):
-        acc = Vector.zero(A.dim)
+        value = apply_map(_alpha_power(A, node.power, cache),
+                          _eval_node(A, node.child, bindings, cache, memo))
+    elif isinstance(node, Mu):
+        value = mul(A, _eval_node(A, node.left, bindings, cache, memo),
+                    _eval_node(A, node.right, bindings, cache, memo))
+    elif isinstance(node, Scale):
+        value = _eval_node(A, node.child, bindings, cache, memo).scale(
+            node.coeff)
+    elif isinstance(node, Sum):
+        value = Vector.zero(A.dim)
         for sign, child in node.terms:
-            value = _eval_node(A, child, bindings, cache)
-            acc = acc + value if sign > 0 else acc - value
-        return acc
-    raise TypeError("unknown AST node %r" % (node,))
+            term = _eval_node(A, child, bindings, cache, memo)
+            value = value + term if sign > 0 else value - term
+    else:
+        raise TypeError("unknown AST node %r" % (node,))
+    memo[node] = value
+    return value
 
 
 def hom_associator(A, x, y, z):
     """mu(alpha(x), mu(y, z)) - mu(mu(x, y), alpha(z)); trilinear."""
-    if A.alpha is None:
-        raise MissingTwistMap(
-            "hom_associator needs a twisting map but %r has none" % A.name)
-    return (mul(A, apply_map(A.alpha, x), mul(A, y, z))
-            - mul(A, mul(A, x, y), apply_map(A.alpha, z)))
+    return evaluate(A, builtin("hom_associative").ast,
+                    {"x": x, "y": y, "z": z})
 
 
 # --- multilinearity ------------------------------------------------------------------
@@ -242,20 +156,6 @@ def _monomial_profiles(node):
     raise TypeError("unknown AST node %r" % (node,))
 
 
-def _uses_alpha(node):
-    if isinstance(node, Alpha):
-        return True
-    if isinstance(node, (Var,)):
-        return False
-    if isinstance(node, (Scale,)):
-        return _uses_alpha(node.child)
-    if isinstance(node, Mu):
-        return _uses_alpha(node.left) or _uses_alpha(node.right)
-    if isinstance(node, Sum):
-        return any(_uses_alpha(child) for _, child in node.terms)
-    return False
-
-
 # --- generic elements -----------------------------------------------------------------
 
 
@@ -286,12 +186,15 @@ def check(A, ast, strategy="generic"):
     if strategy == "basis" and not is_multilinear(ast):
         raise NotMultilinear(
             "basis strategy is only sound for multilinear identities")
-    uses_alpha = A.alpha is not None and _uses_alpha(ast.body)
+    nodes = tuple(_subterms(ast.body))
+    coeffs = [n.coeff for n in nodes if isinstance(n, Scale)]
+    uses_alpha = A.alpha is not None and any(isinstance(n, Alpha)
+                                             for n in nodes)
     assumptions = _collect_constraints(
-        A.mu_scalars(), A.alpha.scalars() if uses_alpha else None,
-        _scale_coeffs(ast.body))
+        A.mu_scalars(), A.alpha.scalars() if uses_alpha else None, coeffs)
     bindings = {}
-    taken = set()
+    # generic coordinates must not capture a variable of a coefficient
+    taken = set().union(*(c.variables() for c in coeffs))
     for v in ast.vars:
         vec = generic_element(A, v, taken)
         for c in vec.coords:
@@ -306,20 +209,6 @@ def check(A, ast, strategy="generic"):
         witness = _defect(None, A.basis, value,
                           _find_specialization(value, bindings, A))
     return CheckReport("fails", witness, assumptions)
-
-
-def _scale_coeffs(node):
-    if isinstance(node, Scale):
-        yield node.coeff
-        yield from _scale_coeffs(node.child)
-    elif isinstance(node, Mu):
-        yield from _scale_coeffs(node.left)
-        yield from _scale_coeffs(node.right)
-    elif isinstance(node, Alpha):
-        yield from _scale_coeffs(node.child)
-    elif isinstance(node, Sum):
-        for _, child in node.terms:
-            yield from _scale_coeffs(child)
 
 
 def _basis_witness(A, ast, bindings, value):
@@ -432,138 +321,98 @@ class BuiltinIdentity:
 
 
 def _make_builtins():
-    x, y, z = _v("x"), _v("y"), _v("z")
-    entries = []
+    entries = {}
 
-    def add(name, asts, surfaces, **kw):
-        entry = BuiltinIdentity(name=name, asts=tuple(asts),
-                                surfaces=tuple(surfaces), **kw)
-        entries.append(entry)
-        return entry
+    def add(name, *surfaces, note, **flags):
+        entries[name] = BuiltinIdentity(
+            name, tuple(parse_identity(s) for s in surfaces), surfaces,
+            note=note, **flags)
+        return entries[name]
 
     add("hom_associative",
-        [IdentityAST(("x", "y", "z"), _associator(x, y, z))],
-        ["mu(al(x), mu(y, z)) = mu(mu(x, y), al(z))"],
+        "mu(al(x), mu(y, z)) = mu(mu(x, y), al(z))",
         note="twisted associativity")
-
     add("left_hom_alternative",
-        [IdentityAST(("x", "y"),
-                     _diff(_mu(_al(x), _mu(x, y)), _mu(_mu(x, x), _al(y))))],
-        ["mu(al(x), mu(x, y)) = mu(mu(x, x), al(y))"],
+        "mu(al(x), mu(x, y)) = mu(mu(x, x), al(y))",
         note="twisted left alternativity")
-
     add("right_hom_alternative",
-        [IdentityAST(("x", "y"),
-                     _diff(_mu(_al(x), _mu(y, y)), _mu(_mu(x, y), _al(y))))],
-        ["mu(al(x), mu(y, y)) = mu(mu(x, y), al(y))"],
+        "mu(al(x), mu(y, y)) = mu(mu(x, y), al(y))",
         note="twisted right alternativity")
-
     left_linearized = add(
         "left_hom_alternative_linearized",
-        [IdentityAST(("x", "y", "z"),
-                     _plus(_associator(x, y, z), _associator(y, x, z)))],
-        ["mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
-         " + mu(al(y), mu(x, z)) - mu(mu(y, x), al(z)) = 0"],
+        "mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
+        " + mu(al(y), mu(x, z)) - mu(mu(y, x), al(z)) = 0",
         note="left alternativity with the repeated variable split")
-
     right_linearized = add(
         "right_hom_alternative_linearized",
-        [IdentityAST(("x", "y", "z"),
-                     _plus(_associator(x, y, z), _associator(x, z, y)))],
-        ["mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
-         " + mu(al(x), mu(z, y)) - mu(mu(x, z), al(y)) = 0"],
+        "mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
+        " + mu(al(x), mu(z, y)) - mu(mu(x, z), al(y)) = 0",
         note="right alternativity with the repeated variable split")
-
     flexible = add(
         "hom_flexible",
-        [IdentityAST(("x", "y"),
-                     _diff(_mu(_al(x), _mu(y, x)), _mu(_mu(x, y), _al(x))))],
-        ["mu(al(x), mu(y, x)) = mu(mu(x, y), al(x))"],
+        "mu(al(x), mu(y, x)) = mu(mu(x, y), al(x))",
         note="twisted flexibility")
-
-    add("associator_alternating_12",
-        left_linearized.asts, left_linearized.surfaces,
+    add("associator_alternating_12", *left_linearized.surfaces,
         note="associator changes sign when the first two arguments swap")
-
-    add("associator_alternating_23",
-        right_linearized.asts, right_linearized.surfaces,
+    add("associator_alternating_23", *right_linearized.surfaces,
         note="associator changes sign when the last two arguments swap")
-
     add("associator_alternating_13",
-        [IdentityAST(("x", "y", "z"),
-                     _plus(_associator(x, y, z), _associator(z, y, x)))],
-        ["mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
-         " + mu(al(z), mu(y, x)) - mu(mu(z, y), al(x)) = 0"],
+        "mu(al(x), mu(y, z)) - mu(mu(x, y), al(z))"
+        " + mu(al(z), mu(y, x)) - mu(mu(z, y), al(x)) = 0",
         note="associator changes sign when the outer arguments swap")
-
     add("commutative",
-        [IdentityAST(("x", "y"), _diff(_mu(x, y), _mu(y, x)))],
-        ["mu(x, y) = mu(y, x)"],
+        "mu(x, y) = mu(y, x)",
         note="commutativity of the product")
-
     jordan = add(
         "hom_jordan",
-        [IdentityAST(("x", "y"),
-                     _diff(_mu(_al(x, 2), _mu(y, _mu(x, x))),
-                           _mu(_mu(_al(x), y), _al(_mu(x, x)))))],
-        ["mu(al^2(x), mu(y, mu(x, x))) = mu(mu(al(x), y), al(mu(x, x)))"],
+        "mu(al^2(x), mu(y, mu(x, x))) = mu(mu(al(x), y), al(mu(x, x)))",
         requires_commutative=True,
         note="twisted Jordan identity, with al^2 on the leading factor")
-
     add("hom_jordan_variant_a",
-        [IdentityAST(("x", "y"),
-                     _diff(_mu(_al(x), _mu(y, _mu(x, x))),
-                           _mu(_mu(x, y), _al(_mu(x, x)))))],
-        ["mu(al(x), mu(y, mu(x, x))) = mu(mu(x, y), al(mu(x, x)))"],
+        "mu(al(x), mu(y, mu(x, x))) = mu(mu(x, y), al(mu(x, x)))",
         requires_commutative=True,
         note="naive one-al variant of the twisted Jordan identity")
-
     add("hom_jordan_variant_b",
-        [IdentityAST(("x", "y"),
-                     _diff(_mu(_al(x), _mu(y, _mu(x, x))),
-                           _mu(_mu(x, y), _mu(x, _al(x)))))],
-        ["mu(al(x), mu(y, mu(x, x))) = mu(mu(x, y), mu(x, al(x)))"],
+        "mu(al(x), mu(y, mu(x, x))) = mu(mu(x, y), mu(x, al(x)))",
         requires_commutative=True,
         note="variant with the twist pushed inside the squared factor")
-
     add("anticommute_left_consequence",
-        [IdentityAST(("x", "y", "z"),
-                     _plus(_mu(_al(x), _mu(y, z)), _mu(_al(y), _mu(x, z))))],
-        ["mu(al(x), mu(y, z)) + mu(al(y), mu(x, z)) = 0"],
+        "mu(al(x), mu(y, z)) + mu(al(y), mu(x, z)) = 0",
         universal=False,
         note="left product consequence for anticommuting x, y; evaluate on "
              "bindings with mu(x, y) = -mu(y, x)")
-
     add("anticommute_right_consequence",
-        [IdentityAST(("z", "x", "y"),
-                     _plus(_mu(_mu(z, x), _al(y)), _mu(_mu(z, y), _al(x))))],
-        ["mu(mu(z, x), al(y)) + mu(mu(z, y), al(x)) = 0"],
+        "mu(mu(z, x), al(y)) + mu(mu(z, y), al(x)) = 0",
         universal=False,
         note="right product consequence for anticommuting x, y; evaluate on "
              "bindings with mu(x, y) = -mu(y, x)")
-
     add("noncommutative_hom_jordan",
-        [flexible.asts[0], jordan.asts[0]],
-        [flexible.surfaces[0], jordan.surfaces[0]],
+        *flexible.surfaces, *jordan.surfaces,
         note="flexibility together with the twisted Jordan identity, "
              "commutativity not required")
+    return entries
 
-    return {e.name: e for e in entries}
+
+_BUILTINS = None
 
 
-_BUILTINS = _make_builtins()
+def _builtins():
+    global _BUILTINS
+    if _BUILTINS is None:
+        _BUILTINS = _make_builtins()
+    return _BUILTINS
 
 
 def builtin(name):
     """Look up a builtin identity by name."""
     try:
-        return _BUILTINS[name]
+        return _builtins()[name]
     except KeyError:
         raise UnknownIdentity("no builtin identity named %r" % name) from None
 
 
 def builtin_names():
-    return tuple(_BUILTINS)
+    return tuple(_builtins())
 
 
 def check_builtin(A, name, strategy="generic"):

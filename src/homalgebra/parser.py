@@ -24,18 +24,111 @@ normalized to lhs - rhs = 0.
 
 Both grammars recurse once per open bracket, so the tokenizer refuses input
 nested deeper than _MAX_NESTING.
+
+This module holds the syntax of the identity language: its tree (Var,
+Alpha, Mu, Scale, Sum under an IdentityAST), the parser and the printer
+identity_to_text.  Evaluation and checking live in homalgebra.identities.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityError, ParseError, UndeclaredParameter
-from .identities import Alpha, IdentityAST, Mu, Scale, Sum, Var
 from .scalars import Scalar
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
 _MAX_NESTING = 100   # far beyond real expressions, within Python's stack
+
+
+# --- the identity tree ------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+
+@dataclass(frozen=True)
+class Alpha:
+    power: int
+    child: object
+
+    def __post_init__(self):
+        if self.power < 1:
+            raise ValueError("Alpha power must be >= 1")
+
+
+@dataclass(frozen=True)
+class Mu:
+    left: object
+    right: object
+
+
+@dataclass(frozen=True)
+class Scale:
+    coeff: Scalar
+    child: object
+
+
+@dataclass(frozen=True)
+class Sum:
+    terms: tuple  # of (sign, node) with sign +1 / -1
+
+
+@dataclass(frozen=True)
+class IdentityAST:
+    """Expression asserted to vanish for all values of its variables."""
+
+    vars: tuple
+    body: object
+
+
+def _subterms(node):
+    """Every node of the tree under node, in pre-order: a node before its
+    children, children left to right."""
+    yield node
+    if isinstance(node, (Alpha, Scale)):
+        yield from _subterms(node.child)
+    elif isinstance(node, Mu):
+        yield from _subterms(node.left)
+        yield from _subterms(node.right)
+    elif isinstance(node, Sum):
+        for _, child in node.terms:
+            yield from _subterms(child)
+
+
+def identity_to_text(ast):
+    """Surface form of an AST in the identity grammar, as 'expr = 0'."""
+    return "%s = 0" % _node_text(ast.body, top=True)
+
+
+def _node_text(node, top=False):
+    if isinstance(node, Var):
+        return node.name
+    if isinstance(node, Alpha):
+        head = "al" if node.power == 1 else "al^%d" % node.power
+        return "%s(%s)" % (head, _node_text(node.child, top=True))
+    if isinstance(node, Mu):
+        return "mu(%s, %s)" % (_node_text(node.left, top=True),
+                               _node_text(node.right, top=True))
+    if isinstance(node, Scale):
+        coeff = node.coeff.num.constant_value()
+        return "%s*%s" % (coeff, _node_text(node.child))
+    if isinstance(node, Sum):
+        if not node.terms:
+            return "0"
+        parts = []
+        for sign, child in node.terms:
+            text = _node_text(child)
+            if not parts:
+                parts.append(text if sign > 0 else "-" + text)
+            else:
+                parts.append((" + " if sign > 0 else " - ") + text)
+        body = "".join(parts)
+        return body if top else "(%s)" % body
+    raise TypeError("unknown AST node %r" % (node,))
 
 
 class _Token:
@@ -208,8 +301,7 @@ def parse_identity(text):
     if cur.current.kind != "eof":
         cur.fail("end of input")
     body = _sum_terms(_terms_of(lhs) + [(-sign, node) for sign, node in _terms_of(rhs)])
-    variables = []
-    _collect_vars(body, variables)
+    variables = dict.fromkeys(n.name for n in _subterms(body) if isinstance(n, Var))
     return IdentityAST(vars=tuple(variables), body=body)
 
 
@@ -224,20 +316,6 @@ def _sum_terms(terms):
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     return Sum(tuple(terms))
-
-
-def _collect_vars(node, acc):
-    if isinstance(node, Var):
-        if node.name not in acc:
-            acc.append(node.name)
-    elif isinstance(node, (Alpha, Scale)):
-        _collect_vars(node.child, acc)
-    elif isinstance(node, Mu):
-        _collect_vars(node.left, acc)
-        _collect_vars(node.right, acc)
-    elif isinstance(node, Sum):
-        for _, child in node.terms:
-            _collect_vars(child, acc)
 
 
 def _iexpr(cur):

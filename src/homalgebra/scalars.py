@@ -224,14 +224,6 @@ class Polynomial:
             return Polynomial.zero()
         return _raw({m: c * factor for m, c in self.terms.items()})
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = Polynomial.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
 
@@ -474,8 +466,6 @@ class Scalar:
     def from_fraction(cls, value):
         return cls._make(Polynomial.const(Fraction(value)), Polynomial.const(1))
 
-    from_int = from_fraction
-
     @classmethod
     def var(cls, name):
         return cls._make(Polynomial.var(name), Polynomial.const(1))
@@ -619,10 +609,6 @@ def arith(kind, x, y):
     if kind not in ops:
         raise ValueError("unknown arithmetic kind %r" % kind)
     return ops[kind]()
-
-
-def specialize(x, bindings):
-    return x.specialize(bindings)
 
 
 def nonzero_constraints(poly):

@@ -268,3 +268,44 @@ class TestNestingLimit:
         code, _, _ = run(capsys, "verify", path,
                          "--expr", "mu(%s, y) = mu(x, y)" % deep)
         assert code == 0
+
+
+
+def _setting(value, *path):
+    def mutate(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return json.dumps(doc)
+    return mutate
+
+
+# file text from a valid document; each case used to escape as a traceback
+_MALFORMED = {
+    "nested-arrays": lambda doc: "[" * 100000 + "]" * 100000,
+    "mu-value-not-object": _setting("e1", "mu", 0, "value"),
+    "maps-not-object": _setting([], "maps"),
+    "params-not-list": _setting(5, "params"),
+    "mu-i-not-string": _setting(["e1"], "mu", 0, "i"),
+    "mu-j-not-string": _setting(["e1"], "mu", 0, "j"),
+    "unit-not-string": _setting(["e0"], "unit"),
+    "twist-not-string": _setting(["alpha1"], "twist"),
+    "check-unit-unknown-label": json.dumps,
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_exits_two_with_message(self, case, capsys, tmp_path):
+        entry = catalog.get("alt4_mu1_twist_alpha1")
+        doc = json.loads(saves(entry.algebra, maps=entry.maps))
+        path = tmp_path / "malformed.json"
+        path.write_text(_MALFORMED[case](doc))
+        if case == "check-unit-unknown-label":
+            argv = ["check-unit", str(path), "--element", "nope"]
+        else:
+            argv = ["verify", str(path)]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ")

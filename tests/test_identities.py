@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from homalgebra import catalog
+from homalgebra import catalog, identities
 from homalgebra.algebra import (
     AlgebraSpec,
     LinMap,
@@ -23,6 +23,7 @@ from homalgebra.errors import (
 )
 from homalgebra.identities import (
     Mu,
+    Scale,
     Sum,
     Var,
     builtin,
@@ -121,6 +122,24 @@ class TestEvaluate:
         ast = builtin("left_hom_alternative").ast
         with pytest.raises(MissingTwistMap):
             evaluate(A, ast, {"x": A.basis_vector(0), "y": A.basis_vector(1)})
+
+    def test_repeated_subterm_is_evaluated_once(self, octonions_id,
+                                                monkeypatch):
+        # hom_jordan spells mu(x, x) twice; the other four products are
+        # distinct, so one evaluation makes five products, not six
+        calls = []
+        real_mul = identities.mul
+
+        def counting_mul(A, u, v):
+            calls.append((u, v))
+            return real_mul(A, u, v)
+
+        monkeypatch.setattr(identities, "mul", counting_mul)
+        A = octonions_id
+        x = generic_element(A, "x")
+        y = generic_element(A, "y", taken=[str(c.num) for c in x.coords])
+        evaluate(A, builtin("hom_jordan").ast, {"x": x, "y": y})
+        assert len(calls) == 5
 
     def test_jordan_on_basis_pairs_of_forced_twist(self):
         # the forced twist of the polarized table satisfies the twisted
@@ -336,3 +355,16 @@ class TestGenericElements:
         g = generic_element(A, "x")
         names = {str(c.num) for c in g.coords}
         assert "x_1" not in names
+
+    @pytest.mark.parametrize("coeff_name", ["x_1", "t"])
+    def test_names_avoid_coefficient_variables(self, coeff_name):
+        # on e*e = e, c*x - mu(x, x) has the generic residual (c*x1 - x1^2) e,
+        # which is not zero; it must not collapse when c is named x_1, the
+        # name the coordinate of x would take
+        A = AlgebraSpec("idempotent", 1, ["e"], mu=[(0, 0, 0, 1)])
+        x = Var("x")
+        ast = IdentityAST(("x",), Sum(((1, Scale(S(coeff_name), x)),
+                                       (-1, Mu(x, x)))))
+        report = check(A, ast)
+        assert report.verdict == "fails"
+        assert coeff_name in report.witness.residual.variables()

@@ -7,6 +7,7 @@ import pytest
 from homalgebra.errors import ArityError, ParseError, UndeclaredParameter
 from homalgebra.identities import (
     Alpha,
+    IdentityAST,
     Mu,
     Sum,
     Var,
@@ -124,6 +125,41 @@ class TestBuiltinRoundTrips:
         for ast in b.asts:
             printed = identity_to_text(ast)
             assert parse_identity(printed) == ast
+
+
+def _hand_built_trees():
+    """Builtin trees spelled with the node classes alone, independent of
+    the parser: mu(al(a), mu(b, c)) - mu(mu(a, b), al(c)) and friends."""
+    x, y, z = Var("x"), Var("y"), Var("z")
+
+    def associator_terms(a, b, c):
+        return ((1, Mu(Alpha(1, a), Mu(b, c))),
+                (-1, Mu(Mu(a, b), Alpha(1, c))))
+
+    xx = Mu(x, x)
+    return {
+        "hom_associative": IdentityAST(
+            ("x", "y", "z"), Sum(associator_terms(x, y, z))),
+        "left_hom_alternative": IdentityAST(
+            ("x", "y"), Sum(((1, Mu(Alpha(1, x), Mu(x, y))),
+                             (-1, Mu(xx, Alpha(1, y)))))),
+        "right_hom_alternative_linearized": IdentityAST(
+            ("x", "y", "z"),
+            Sum(associator_terms(x, y, z) + associator_terms(x, z, y))),
+        "hom_jordan": IdentityAST(
+            ("x", "y"), Sum(((1, Mu(Alpha(2, x), Mu(y, xx))),
+                             (-1, Mu(Mu(Alpha(1, x), y), Alpha(1, xx)))))),
+    }
+
+
+class TestBuiltinTrees:
+    # builtins are parsed from their surface forms; these trees are an
+    # oracle for what the parser must make of them
+    @pytest.mark.parametrize("name", sorted(_hand_built_trees()))
+    def test_builtin_equals_hand_built_tree(self, name):
+        expected = _hand_built_trees()[name]
+        assert builtin(name).asts == (expected,)
+        assert repr(builtin(name).asts) == repr((expected,))
 
 
 class TestErrorPositions:
