@@ -10,13 +10,16 @@ algebra, polarization, subalgebra closure and unit checks.
 Check results are CheckReports with verdict holds / holds-under-assumptions /
 fails.  "Under assumptions" means some scalar involved carries a denominator,
 so the statement is exact on the open set where those denominators are
-nonzero; the report lists the constraints.
+nonzero; the report lists the constraints.  Every certificate is a residual
+scan: a lazy sequence of vectors that must vanish, one per basis pair (or
+basis vector, or spanning pair), whose first nonzero member is the witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     DimensionMismatch,
@@ -149,8 +152,7 @@ class LinMap:
 
 
 def identity(n):
-    return LinMap([[Scalar.one() if i == j else Scalar.zero() for j in range(n)]
-                   for i in range(n)])
+    return LinMap.diagonal([Scalar.one()] * n)
 
 
 def apply_map(f, v):
@@ -172,19 +174,8 @@ def compose(f, g):
     """The map applying g first, then f."""
     if f.dim != g.dim:
         raise DimensionMismatch("composed maps must share a dimension")
-    n = f.dim
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = Scalar.zero()
-            for k in range(n):
-                a, b = f.rows[i][k], g.rows[k][j]
-                if not a.is_zero() and not b.is_zero():
-                    acc = acc + a * b
-            row.append(acc)
-        rows.append(row)
-    return LinMap(rows)
+    columns = [apply_map(f, Vector(column)).coords for column in zip(*g.rows)]
+    return LinMap(zip(*columns))
 
 
 def invert(f):
@@ -289,9 +280,10 @@ def _collect_constraints(*sources):
 class AlgebraSpec:
     """Finite-dimensional algebra over Q(params), by structure constants.
 
-    mu is a sparse mapping (i, j) -> {k: Scalar}; omitted products are zero.
-    alpha, when present, is the twisting map of the Hom-structure.  unit is
-    an optional basis index.
+    params are Param declarations.  mu is a sparse mapping
+    (i, j) -> {k: Scalar}; omitted products are zero.  alpha, when present,
+    is the twisting map of the Hom-structure.  unit is an optional basis
+    index.
     """
 
     __slots__ = ("name", "dim", "basis", "params", "mu", "alpha", "unit",
@@ -305,16 +297,7 @@ class AlgebraSpec:
             raise ValueError("expected %d basis labels, got %d" % (dim, len(self.basis)))
         if len(set(self.basis)) != dim:
             raise ValueError("basis labels must be distinct")
-        norm_params = []
-        for p in params:
-            if isinstance(p, Param):
-                norm_params.append(p)
-            elif isinstance(p, str):
-                norm_params.append(Param(p))
-            else:
-                pname, nz = p
-                norm_params.append(Param(pname, bool(nz)))
-        self.params = tuple(norm_params)
+        self.params = tuple(params)
         if len({p.name for p in self.params}) != len(self.params):
             raise ValueError("duplicate parameter declaration")
 
@@ -452,24 +435,27 @@ def is_endomorphism(A, f):
     if f.dim != A.dim:
         raise DimensionMismatch("map dimension %d vs algebra dimension %d"
                                 % (f.dim, A.dim))
-    assumptions = _collect_constraints(A.mu_scalars(), f.scalars())
-    witness = _product_defect(A, A, f)
-    if witness is not None:
-        return CheckReport("fails", witness, assumptions)
-    return CheckReport(_verdict(assumptions), None, assumptions)
+    return _certify(_collect_constraints(A.mu_scalars(), f.scalars()),
+                    _product_residuals(A, A, f), A.basis)
 
 
-def _product_defect(A, B, f):
-    """Witness at the first basis pair where f(mu_A(bi, bj)) and
-    mu_B(f bi, f bj) differ, or None."""
+def _product_residuals(A, B, f):
+    """f(mu_A(bi, bj)) - mu_B(f bi, f bj) at each basis pair, j fastest."""
     images = [apply_map(f, A.basis_vector(j)) for j in range(A.dim)]
     for i in range(A.dim):
         for j in range(A.dim):
-            diff = (apply_map(f, A.product_on_basis(i, j))
-                    - mul(B, images[i], images[j]))
-            if not diff.is_zero():
-                return _defect((A.basis[i], A.basis[j]), B.basis, diff)
-    return None
+            yield ((A.basis[i], A.basis[j]),
+                   apply_map(f, A.product_on_basis(i, j))
+                   - mul(B, images[i], images[j]))
+
+
+def _certify(assumptions, residuals, labels):
+    """Report of a certificate: fails at the first nonzero vector of the
+    lazy (at, vector) residuals, with its witness; holds if none is."""
+    for at, diff in residuals:
+        if not diff.is_zero():
+            return CheckReport("fails", _defect(at, labels, diff), assumptions)
+    return CheckReport(_verdict(assumptions), None, assumptions)
 
 
 def _first_nonzero(vec):
@@ -549,38 +535,30 @@ def is_morphism(A, B, f):
     when both twist maps are present."""
     if A.dim != B.dim or f.dim != A.dim:
         raise DimensionMismatch("morphism check needs equal dimensions")
-    assumptions = _collect_constraints(A.mu_scalars(), B.mu_scalars(), f.scalars())
-    witness = _product_defect(A, B, f)
-    if witness is not None:
-        return CheckReport("fails", witness, assumptions)
-    if A.alpha is not None and B.alpha is not None:
-        assumptions = _collect_constraints(
-            A.mu_scalars(), B.mu_scalars(), f.scalars(),
-            A.alpha.scalars(), B.alpha.scalars())
-        for j in range(A.dim):
-            lhs = apply_map(f, apply_map(A.alpha, A.basis_vector(j)))
-            rhs = apply_map(B.alpha, apply_map(f, A.basis_vector(j)))
-            diff = lhs - rhs
-            if not diff.is_zero():
-                return CheckReport("fails", _defect((A.basis[j],), B.basis, diff),
-                                   assumptions)
-    return CheckReport(_verdict(assumptions), None, assumptions)
+    report = _certify(
+        _collect_constraints(A.mu_scalars(), B.mu_scalars(), f.scalars()),
+        _product_residuals(A, B, f), B.basis)
+    if not report.holds or A.alpha is None or B.alpha is None:
+        return report
+    basis = [A.basis_vector(j) for j in range(A.dim)]
+    return _certify(
+        _collect_constraints(A.mu_scalars(), B.mu_scalars(), f.scalars(),
+                             A.alpha.scalars(), B.alpha.scalars()),
+        (((A.basis[j],), apply_map(f, apply_map(A.alpha, bj))
+          - apply_map(B.alpha, apply_map(f, bj))) for j, bj in enumerate(basis)),
+        B.basis)
 
 
 def check_unit(A, u):
     """Is u a two-sided unit: mul(u, bj) = bj = mul(bj, u) for all j?"""
     if u.dim != A.dim:
         raise DimensionMismatch("vector dimension does not match the algebra")
-    assumptions = _collect_constraints(A.mu_scalars(), u.coords)
-    for j in range(A.dim):
-        bj = A.basis_vector(j)
-        for left in (True, False):
-            prod = mul(A, u, bj) if left else mul(A, bj, u)
-            diff = prod - bj
-            if not diff.is_zero():
-                return CheckReport("fails", _defect((A.basis[j],), A.basis, diff),
-                                   assumptions)
-    return CheckReport(_verdict(assumptions), None, assumptions)
+    basis = [A.basis_vector(j) for j in range(A.dim)]
+    return _certify(
+        _collect_constraints(A.mu_scalars(), u.coords),
+        (((A.basis[j],), mul(A, *pair) - bj)
+         for j, bj in enumerate(basis) for pair in ((u, bj), (bj, u))),
+        A.basis)
 
 
 # --- subalgebra closure -------------------------------------------------------
@@ -604,10 +582,10 @@ class _Echelon:
         return v
 
     def insert(self, v):
-        """Reduce v and add it to the basis if independent; True if added."""
+        """Reduce v and add it to the basis if independent."""
         v = self.reduce(v)
         if v.is_zero():
-            return False
+            return
         pivot_col = _first_nonzero(v)
         pivot = v.coords[pivot_col]
         if not (pivot.num.is_constant() and pivot.den.is_one()):
@@ -616,10 +594,6 @@ class _Echelon:
                     self.pivot_constraints.append(c)
         self.rows.append((pivot_col, v))
         self.rows.sort(key=lambda pr: pr[0])
-        return True
-
-    def vectors(self):
-        return [row for _, row in self.rows]
 
 
 def is_subalgebra(A, gens):
@@ -629,30 +603,17 @@ def is_subalgebra(A, gens):
         if g.dim != A.dim:
             raise DimensionMismatch("generator dimension does not match the algebra")
         ech.insert(g)
-    span = ech.vectors()
+    span = [("span#%d" % a, row) for a, (_, row) in enumerate(ech.rows)]
     assumptions = _collect_constraints(
         A.mu_scalars(),
         (c for g in gens for c in g.coords),
         A.alpha.scalars() if A.alpha is not None else None,
     )
-
-    def finish(verdict, witness=None):
-        extra = tuple(c for c in ech.pivot_constraints)
-        merged = tuple(sorted(set(assumptions) | set(extra), key=name_key))
-        if verdict != "fails" and merged:
-            verdict = "holds-under-assumptions"
-        return CheckReport(verdict, witness, merged)
-
-    for a, u in enumerate(span):
-        for b, v in enumerate(span):
-            residue = ech.reduce(mul(A, u, v))
-            if not residue.is_zero():
-                return finish("fails", _defect(("span#%d" % a, "span#%d" % b),
-                                               A.basis, residue))
-    if A.alpha is not None:
-        for a, u in enumerate(span):
-            residue = ech.reduce(apply_map(A.alpha, u))
-            if not residue.is_zero():
-                return finish("fails", _defect(("span#%d" % a,), A.basis,
-                                               residue))
-    return finish("holds")
+    assumptions = tuple(sorted(set(assumptions) | set(ech.pivot_constraints),
+                               key=name_key))
+    images = chain(
+        (((a, b), mul(A, u, v)) for a, u in span for b, v in span),
+        (((a,), apply_map(A.alpha, u))
+         for a, u in (span if A.alpha is not None else ())))
+    return _certify(assumptions,
+                    ((at, ech.reduce(w)) for at, w in images), A.basis)

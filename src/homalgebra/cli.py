@@ -114,7 +114,7 @@ def _build_parser():
                                 "skipped certificate is recorded")
             p.set_defaults(handler=_cmd_twist)
         else:
-            p.set_defaults(handler=_make_transform(name, op))
+            p.set_defaults(handler=_make_transform(op))
 
     p = sub.add_parser("check-endo", help="endomorphism certificate for a map")
     p.add_argument("file")
@@ -176,6 +176,7 @@ def _cmd_verify(args):
         targets = [builtin(name) for name in _DEFAULT_SUITE]
 
     commutative = None
+    results = {}   # (asts, strategy) -> report: targets sharing them run once
     for target in targets:
         # the default suite runs the Jordan-type identities only on a
         # commutative product; an identity asked for by name always runs
@@ -186,68 +187,62 @@ def _cmd_verify(args):
             "basis" if all(is_multilinear(a) for a in target.asts)
             else "generic")
         started = time.perf_counter()
-        result = check_builtin(algebra, target, strategy)
+        key = (target.asts, strategy)
+        if key not in results:
+            results[key] = check_builtin(algebra, target, strategy)
+        result = results[key]
         elapsed = time.perf_counter() - started
         if target.name == "commutative":
             commutative = result
         report.add(CheckRecord(target.name, strategy, result.verdict,
                                result.witness, result.assumptions, elapsed))
 
-    _emit_report(report, args)
-    return 0 if report.all_hold else 1
+    return _emit_report(report, args)
 
 
 def _cmd_twist(args):
-    loaded = load(args.file)
-    algebra = loaded.algebra
-    if args.map not in loaded.maps:
-        raise HomAlgebraError("file %s declares no map %r" % (args.file, args.map))
-    f = loaded.maps[args.map]
-    report = Report("twist", args.file)
-    certificate = is_endomorphism(algebra, f)
+    loaded, f = _load_map(args.file, args.map)
+    certificate = is_endomorphism(loaded.algebra, f)
     if not certificate.holds and not args.force:
         raise NotEndomorphism(
             "map %r is not an endomorphism (defect at %s); use --force to "
             "twist anyway" % (args.map, certificate.witness.at), certificate)
-    note = "endomorphism precondition overridden by --force" \
-        if (not certificate.holds and args.force) else ""
+    note = ("" if certificate.holds
+            else "endomorphism precondition overridden by --force")
+    report = Report("twist", args.file)
     report.add(CheckRecord("endomorphism:%s" % args.map, "basis-pairs",
                            certificate.verdict, certificate.witness,
                            certificate.assumptions, note=note))
-    twisted = yau_twist(algebra, f, force=True)
+    twisted = yau_twist(loaded.algebra, f, force=True)
     save(twisted, args.output, maps={args.map: f}, twist=args.map)
     print(report.render_text(), end="")
     print("wrote %s" % args.output)
     return 0
 
 
-def _make_transform(name, op):
+def _make_transform(op):
     def handler(args):
         loaded = load(args.file)
-        result = op(loaded.algebra)
-        maps = dict(loaded.maps)
-        twist = None
-        if result.alpha is not None:
-            for mname, m in maps.items():
-                if m == result.alpha:
-                    twist = mname
-                    break
-        save(result, args.output, maps=maps, twist=twist)
+        # saves names the result's twist map after the file's equal map
+        save(op(loaded.algebra), args.output, maps=loaded.maps)
         print("wrote %s" % args.output)
         return 0
     return handler
 
 
+def _load_map(path, name):
+    """The loaded file and its map called name."""
+    loaded = load(path)
+    if name not in loaded.maps:
+        raise HomAlgebraError("file %s declares no map %r" % (path, name))
+    return loaded, loaded.maps[name]
+
+
 def _cmd_check_endo(args):
-    loaded = load(args.file)
-    if args.map not in loaded.maps:
-        raise HomAlgebraError("file %s declares no map %r" % (args.file, args.map))
-    result = is_endomorphism(loaded.algebra, loaded.maps[args.map])
-    report = Report("check-endo", args.file)
-    report.add(CheckRecord("endomorphism:%s" % args.map, "basis-pairs",
-                           result.verdict, result.witness, result.assumptions))
-    _emit_report(report, args)
-    return 0 if report.all_hold else 1
+    loaded, f = _load_map(args.file, args.map)
+    return _certificate(args, "check-endo", args.file,
+                        "endomorphism:%s" % args.map,
+                        is_endomorphism(loaded.algebra, f))
 
 
 def _cmd_check_morphism(args):
@@ -256,27 +251,28 @@ def _cmd_check_morphism(args):
     f = loaded_a.maps.get(args.map) or loaded_b.maps.get(args.map)
     if f is None:
         raise HomAlgebraError("neither file declares a map %r" % args.map)
-    result = is_morphism(loaded_a.algebra, loaded_b.algebra, f)
-    report = Report("check-morphism", "%s -> %s" % (args.file_a, args.file_b))
-    report.add(CheckRecord("morphism:%s" % args.map, "basis-pairs",
-                           result.verdict, result.witness, result.assumptions))
-    _emit_report(report, args)
-    return 0 if report.all_hold else 1
+    return _certificate(args, "check-morphism",
+                        "%s -> %s" % (args.file_a, args.file_b),
+                        "morphism:%s" % args.map,
+                        is_morphism(loaded_a.algebra, loaded_b.algebra, f))
 
 
 def _cmd_check_unit(args):
-    loaded = load(args.file)
-    algebra = loaded.algebra
+    algebra = load(args.file).algebra
     if args.element not in algebra.basis:
         raise HomAlgebraError("file %s has no basis label %r"
                               % (args.file, args.element))
-    u = algebra.basis_vector(args.element)
-    result = check_unit(algebra, u)
-    report = Report("check-unit", args.file)
-    report.add(CheckRecord("unit:%s" % args.element, "basis-pairs",
-                           result.verdict, result.witness, result.assumptions))
-    _emit_report(report, args)
-    return 0 if report.all_hold else 1
+    return _certificate(args, "check-unit", args.file,
+                        "unit:%s" % args.element,
+                        check_unit(algebra, algebra.basis_vector(args.element)))
+
+
+def _certificate(args, command, subject, name, result):
+    """Report one basis-level certificate and exit 0 if it holds, else 1."""
+    report = Report(command, subject)
+    report.add(CheckRecord(name, "basis-pairs", result.verdict,
+                           result.witness, result.assumptions))
+    return _emit_report(report, args)
 
 
 def _cmd_catalog_list(args):
@@ -320,10 +316,11 @@ def _cmd_catalog_show(args):
 
 
 def _emit_report(report, args):
-    if getattr(args, "json", False):
-        sys.stdout.write(report.render_json())
-    else:
-        sys.stdout.write(report.render_text())
+    """Write the report as --json asks; the exit status: 0 if every check
+    holds, 1 if some check fails."""
+    sys.stdout.write(report.render_json() if args.json
+                     else report.render_text())
+    return 0 if report.all_hold else 1
 
 
 if __name__ == "__main__":

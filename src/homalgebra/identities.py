@@ -422,7 +422,7 @@ def check_builtin(A, name, strategy="generic"):
     for ast in b.asts:
         report = check(A, ast, strategy)
         if not report.holds:
-            return CheckReport("fails", report.witness, report.assumptions)
+            return report
         for c in report.assumptions:
             if c not in merged_assumptions:
                 merged_assumptions.append(c)

@@ -23,7 +23,8 @@ are only available through the programmatic AST.  The parsed equation is
 normalized to lhs - rhs = 0.
 
 Both grammars recurse once per open bracket, so the tokenizer refuses input
-nested deeper than _MAX_NESTING.
+nested deeper than _MAX_NESTING; both refuse an exponent (of a scalar or of
+al) above _MAX_EXPONENT.
 
 This module holds the syntax of the identity language: its tree (Var,
 Alpha, Mu, Scale, Sum under an IdentityAST), the parser and the printer
@@ -40,6 +41,10 @@ from .scalars import Scalar
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
 _MAX_NESTING = 100   # far beyond real expressions, within Python's stack
+# a power costs one multiplication (scalars) or one map composition (al^k)
+# per unit of its exponent, and al^32 of a 4-dim parametric map already
+# takes seconds; the paper's identities use al^2 at most
+_MAX_EXPONENT = 32
 
 
 # --- the identity tree ------------------------------------------------------------
@@ -210,6 +215,17 @@ class _Cursor:
                 expected=description or kind, found=tok.text)
         return self.advance()
 
+    def exponent(self, description):
+        """The integer after '^', refused at its token above _MAX_EXPONENT."""
+        tok = self.expect("int", description)
+        if int(tok.text) > _MAX_EXPONENT:
+            raise ParseError("exponent %s exceeds the limit %d"
+                             % (tok.text, _MAX_EXPONENT),
+                             tok.offset, tok.line, tok.column,
+                             expected="exponent <= %d" % _MAX_EXPONENT,
+                             found=tok.text)
+        return tok
+
     def fail(self, description):
         tok = self.current
         raise ParseError(
@@ -263,8 +279,7 @@ def _scalar_factor(cur, declared):
     base = _scalar_base(cur, declared)
     if cur.current.kind == "^":
         cur.advance()
-        exp = cur.expect("int", "integer exponent")
-        base = base ** int(exp.text)
+        base = base ** int(cur.exponent("integer exponent").text)
     return -base if negate else base
 
 
@@ -382,7 +397,7 @@ def _ifactor(cur):
             power = 1
             if cur.current.kind == "^":
                 cur.advance()
-                ptok = cur.expect("int", "integer power")
+                ptok = cur.exponent("integer power")
                 power = int(ptok.text)
                 if power < 1:
                     raise ParseError("al power must be >= 1",

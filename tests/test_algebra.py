@@ -31,7 +31,7 @@ from homalgebra.errors import (
     NotEndomorphism,
     SingularMap,
 )
-from homalgebra.scalars import Scalar
+from homalgebra.scalars import Scalar, name_key
 
 
 def S(name):
@@ -340,3 +340,121 @@ class TestAlgebraSpecValidation:
     def test_zero_entries_dropped(self):
         A = AlgebraSpec("ok", 2, ["x", "y"], mu=[(0, 0, 0, 0)])
         assert A.mu == ()
+
+
+# --- an independent reference for the certificates --------------------------
+#
+# Plain loops in the order the certificates promise: basis pairs (i, j) with
+# j moving fastest, the twist clause of a morphism only after every product
+# agrees, and for a unit the left product of each b_j before its right one.
+# A failure is reported at the first nonzero coordinate of its difference.
+
+
+def _ref_constraints(*sources):
+    return tuple(sorted({c for source in sources for s in source
+                         for c in s.nonzero_constraints()}, key=name_key))
+
+
+def _ref_holds(assumptions):
+    verdict = "holds-under-assumptions" if assumptions else "holds"
+    return (verdict, None, None, None, None, assumptions)
+
+
+def _ref_fails(assumptions, at, labels, diff):
+    k = next(k for k, c in enumerate(diff.coords) if not c.is_zero())
+    return ("fails", at, labels[k], diff.coords[k], diff, assumptions)
+
+
+def _column(f, j):
+    return Vector([f.entry(r, j) for r in range(f.dim)])
+
+
+def _ref_products(A, B, f, assumptions):
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = apply_map(f, A.product_on_basis(i, j))
+            rhs = mul(B, _column(f, i), _column(f, j))
+            if lhs != rhs:
+                return _ref_fails(assumptions, (A.basis[i], A.basis[j]),
+                                  B.basis, lhs - rhs)
+    return None
+
+
+def reference_endomorphism(A, f):
+    assumptions = _ref_constraints(A.mu_scalars(), f.scalars())
+    return _ref_products(A, A, f, assumptions) or _ref_holds(assumptions)
+
+
+def reference_morphism(A, B, f):
+    assumptions = _ref_constraints(A.mu_scalars(), B.mu_scalars(), f.scalars())
+    failed = _ref_products(A, B, f, assumptions)
+    if failed or A.alpha is None or B.alpha is None:
+        return failed or _ref_holds(assumptions)
+    assumptions = _ref_constraints(A.mu_scalars(), B.mu_scalars(), f.scalars(),
+                                   A.alpha.scalars(), B.alpha.scalars())
+    for j in range(A.dim):
+        lhs = apply_map(f, _column(A.alpha, j))
+        rhs = apply_map(B.alpha, _column(f, j))
+        if lhs != rhs:
+            return _ref_fails(assumptions, (A.basis[j],), B.basis, lhs - rhs)
+    return _ref_holds(assumptions)
+
+
+def reference_unit(A, u):
+    assumptions = _ref_constraints(A.mu_scalars(), u.coords)
+    for j in range(A.dim):
+        bj = A.basis_vector(j)
+        for product in (mul(A, u, bj), mul(A, bj, u)):
+            if product != bj:
+                return _ref_fails(assumptions, (A.basis[j],), A.basis,
+                                  product - bj)
+    return _ref_holds(assumptions)
+
+
+def _fields(report):
+    w = report.witness
+    if w is None:
+        return (report.verdict, None, None, None, None, report.assumptions)
+    return (report.verdict, w.at, w.coordinate, w.residual,
+            w.residual_vector, report.assumptions)
+
+
+def _maps(*entries):
+    """Every map attached to the entries, by name, and the identity."""
+    maps = {"identity": identity(entries[0].algebra.dim)}
+    for entry in entries:
+        maps.update(entry.maps)
+    return maps
+
+
+class TestCertificatesAgainstReference:
+    @pytest.mark.parametrize("key", catalog.list_keys())
+    def test_endomorphism(self, key):
+        entry = catalog.get(key)
+        for name, f in _maps(entry).items():
+            assert (_fields(is_endomorphism(entry.algebra, f))
+                    == reference_endomorphism(entry.algebra, f)), name
+
+    @pytest.mark.parametrize("key", catalog.list_keys())
+    def test_unit(self, key):
+        A = catalog.get(key).algebra
+        for label in A.basis:
+            u = A.basis_vector(label)
+            assert _fields(check_unit(A, u)) == reference_unit(A, u), label
+
+    @pytest.mark.parametrize("key", catalog.list_keys())
+    def test_morphism(self, key):
+        entry = catalog.get(key)
+        A = entry.algebra
+        cases = [(A, other.algebra, f)
+                 for other in map(catalog.get, catalog.list_keys())
+                 if other.algebra.dim == A.dim
+                 for f in _maps(entry, other).values()]
+        # the product of A with each of its maps as the twist map: where the
+        # products agree, only the twist clause can fail, and a denominator
+        # of the twist maps widens the assumptions
+        twisted = [A.with_alpha(m) for m in _maps(entry).values()]
+        cases += [(S, T, f) for S in twisted for T in twisted
+                  for f in _maps(entry).values()]
+        for n, (S, T, f) in enumerate(cases):
+            assert _fields(is_morphism(S, T, f)) == reference_morphism(S, T, f), n

@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from homalgebra import catalog
+from homalgebra import catalog, identities
 from homalgebra.cli import main
 from homalgebra.fileio import load, loads, saves
+from homalgebra.parser import _MAX_EXPONENT
 
 
 @pytest.fixture
@@ -103,6 +104,27 @@ class TestVerify:
         doc = json.loads(out)
         assert doc["checks"][0]["assumptions"] == ["a2 != 0"]
         assert doc["checks"][0]["verdict"] == "holds-under-assumptions"
+
+    def test_default_suite_checks_shared_identities_once(self, emit, capsys,
+                                                         monkeypatch):
+        # associator_alternating_12/_23 have the ASTs of the two linearized
+        # alternativity entries, so their results are reused, not recomputed
+        calls = []
+        check = identities.check
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return check(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "check", counting)
+        _, out, _ = run(capsys, "verify", emit("hom_jordan_3d"), "--json")
+        records = {c.pop("identity"): c for c in json.loads(out)["checks"]}
+        assert len(calls) == len(records) - 2
+        assert len(set(calls)) == len(calls)
+        assert (records["associator_alternating_12"]
+                == records["left_hom_alternative_linearized"])
+        assert (records["associator_alternating_23"]
+                == records["right_hom_alternative_linearized"])
 
     def test_forced_basis_on_nonlinear_is_usage_error(self, emit, capsys):
         path = emit("alt4_mu1")
@@ -269,6 +291,45 @@ class TestNestingLimit:
                          "--expr", "mu(%s, y) = mu(x, y)" % deep)
         assert code == 0
 
+
+class TestExponentLimit:
+    def _file_with(self, tmp_path, scalar):
+        doc = json.loads(saves(catalog.get("hom_assoc_3d").algebra))
+        doc["mu"][0]["value"]["e1"] = scalar
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_huge_scalar_exponent_exits_two(self, capsys, tmp_path):
+        path = self._file_with(tmp_path, "a^99999999999")
+        code, _, err = run(capsys, "verify", path)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "exponent 99999999999 exceeds the limit" in err
+
+    def test_huge_alpha_power_exits_two(self, emit, capsys):
+        path = emit("alt4_mu1_twist_alpha1")
+        code, _, err = run(capsys, "verify", path,
+                           "--expr", "al^99999999999(x) = x")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "exponent 99999999999 exceeds the limit" in err
+
+    def test_exponent_at_the_limit_is_accepted(self, emit, capsys, tmp_path):
+        path = self._file_with(tmp_path, "a^%d" % _MAX_EXPONENT)
+        code, _, err = run(capsys, "verify", path, "--identity", "commutative")
+        assert code == 1 and err == ""   # e2*e3 = b*e3 but e3*e2 = 0
+        # untwisted: al is the identity map, so every power of it is too
+        code, _, _ = run(capsys, "verify", emit("alt4_mu1"),
+                         "--expr", "al^%d(x) = x" % _MAX_EXPONENT)
+        assert code == 0
+
+    def test_one_past_the_limit_is_refused(self, emit, capsys, tmp_path):
+        path = self._file_with(tmp_path, "a^%d" % (_MAX_EXPONENT + 1))
+        assert run(capsys, "verify", path)[0] == 2
+        code, _, _ = run(capsys, "verify", emit("alt4_mu1"),
+                         "--expr", "al^%d(x) = x" % (_MAX_EXPONENT + 1))
+        assert code == 2
 
 
 def _setting(value, *path):
