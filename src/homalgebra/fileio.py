@@ -45,6 +45,10 @@ def loads(text, source="<string>"):
                          expected="well-formed JSON", found=None) from None
     except RecursionError:
         raise ValidationError("%s: JSON nested too deeply" % source) from None
+    except ValueError:
+        # json turns a number into an int past Python's conversion limit
+        raise ValidationError("%s: JSON number has too many digits"
+                              % source) from None
     if not isinstance(doc, dict):
         raise ValidationError("%s: algebra file must be a JSON object" % source)
 

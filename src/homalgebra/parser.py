@@ -24,7 +24,8 @@ normalized to lhs - rhs = 0.
 
 Both grammars recurse once per open bracket, so the tokenizer refuses input
 nested deeper than _MAX_NESTING; both refuse an exponent (of a scalar or of
-al) above _MAX_EXPONENT.
+al) above _MAX_EXPONENT.  An integer token is ASCII digits only, at most
+_MAX_DIGITS of them.
 
 This module holds the syntax of the identity language: its tree (Var,
 Alpha, Mu, Scale, Sum under an IdentityAST), the parser and the printer
@@ -43,8 +44,12 @@ _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
 _MAX_NESTING = 100   # far beyond real expressions, within Python's stack
 # a power costs one multiplication (scalars) or one map composition (al^k)
 # per unit of its exponent, and al^32 of a 4-dim parametric map already
-# takes seconds; the paper's identities use al^2 at most
+# takes about a second; the paper's identities use al^2 at most
 _MAX_EXPONENT = 32
+# far beyond any coefficient in practice, well within Python's int-string
+# conversion limit (4300 digits)
+_MAX_DIGITS = 1000
+_DIGITS = frozenset("0123456789")
 
 
 # --- the identity tree ------------------------------------------------------------
@@ -166,10 +171,15 @@ def _tokenize(text):
             col += 1
             continue
         start, sline, scol = i, line, col
-        if ch.isdigit():
-            while i < n and text[i].isdigit():
+        if ch in _DIGITS:
+            while i < n and text[i] in _DIGITS:
                 i += 1
                 col += 1
+            if i - start > _MAX_DIGITS:
+                raise ParseError("integer of %d digits exceeds the limit %d"
+                                 % (i - start, _MAX_DIGITS), start, sline, scol,
+                                 expected="at most %d digits" % _MAX_DIGITS,
+                                 found=text[start:start + 20] + "...")
             tokens.append(_Token("int", text[start:i], start, sline, scol))
         elif ch.isalpha() or ch == "_":
             while i < n and (text[i].isalnum() or text[i] == "_"):

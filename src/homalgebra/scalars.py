@@ -1,11 +1,17 @@
 """Exact arithmetic in Q(p1, ..., pm), the field of rational functions.
 
 Every structure constant, matrix entry and residual in this package is a
-Scalar: a quotient num/den of multivariate polynomials with Fraction
+Scalar: a quotient num/den of multivariate polynomials with rational
 coefficients, kept in a canonical form so that equality is plain structural
 equality.  Canonical form: gcd(num, den) = 1 and den monic under the graded
 lexicographic monomial order (variables compared by a digit-aware name key,
 so a2 < a10).  Everything here is immutable and pure.
+
+A polynomial holds each coefficient as a Python int when it is integral and
+as a Fraction otherwise, so the integer tables that make up most inputs are
+computed on ints; constant_value() and evaluate() still return Fractions.  A
+monomial keeps its variables as a name-sorted tuple with its degree and hash
+computed once.  The zero and one polynomials are shared constants.
 """
 
 from __future__ import annotations
@@ -41,30 +47,43 @@ def name_key(name):
 class Monomial:
     """A product of variable powers; exponents are strictly positive.
 
-    Ordered by graded lex: total degree first, then variable-by-variable
-    in name order (higher power of an earlier variable wins).
+    exps is the name-sorted tuple of (variable, exponent); the degree and
+    the hash are computed once, at construction.  Ordered by graded lex:
+    total degree first, then variable-by-variable in name order (higher
+    power of an earlier variable wins).
     """
 
-    __slots__ = ("exps",)
+    __slots__ = ("exps", "degree", "_hash")
 
     def __init__(self, exps=()):
         items = [(v, e) for v, e in dict(exps).items() if e != 0]
         if any(e < 0 for _, e in items):
             raise ValueError("negative exponent in monomial")
         items.sort(key=lambda ve: name_key(ve[0]))
-        self.exps = tuple(items)
+        exps = tuple(items)
+        self.exps = exps
+        self.degree = sum(e for _, e in exps)
+        self._hash = hash(exps)
+
+    @classmethod
+    def _canonical(cls, exps, degree):
+        """A monomial from a name-sorted tuple of positive exponents and
+        its degree, taken as they are."""
+        m = cls.__new__(cls)
+        m.exps = exps
+        m.degree = degree
+        m._hash = hash(exps)
+        return m
 
     @classmethod
     def unit(cls):
-        return cls(())
+        return _ONE_MONO
 
     @classmethod
     def var(cls, name, power=1):
+        if power > 0:
+            return cls._canonical(((name, power),), power)
         return cls(((name, power),))
-
-    @property
-    def degree(self):
-        return sum(e for _, e in self.exps)
 
     def is_unit(self):
         return not self.exps
@@ -73,45 +92,78 @@ class Monomial:
         return frozenset(v for v, _ in self.exps)
 
     def __mul__(self, other):
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            merged[v] = merged.get(v, 0) + e
-        return Monomial(merged)
+        a, b = self.exps, other.exps
+        if not b:
+            return self
+        if not a:
+            return other
+        # merge two name-sorted tuples
+        out = []
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na and j < nb:
+            va, ea = a[i]
+            vb, eb = b[j]
+            if va == vb:
+                out.append((va, ea + eb))
+                i += 1
+                j += 1
+            elif name_key(va) < name_key(vb):
+                out.append(a[i])
+                i += 1
+            else:
+                out.append(b[j])
+                j += 1
+        return Monomial._canonical(tuple(out) + a[i:] + b[j:],
+                                   self.degree + other.degree)
 
     def divides(self, other):
+        if self.degree > other.degree:
+            return False
         d = dict(other.exps)
-        return all(d.get(v, 0) >= e for v, e in self.exps)
+        for v, e in self.exps:
+            if d.get(v, 0) < e:
+                return False
+        return True
 
     def __floordiv__(self, other):
+        if not other.exps:
+            return self
         merged = dict(self.exps)
         for v, e in other.exps:
-            ne = merged.get(v, 0) - e
-            if ne < 0:
+            if merged.get(v, 0) < e:
                 raise ValueError("monomial division is not exact")
-            merged[v] = ne
-        return Monomial(merged)
+            merged[v] -= e
+        # a subset of self's variables, still in name order
+        return Monomial._canonical(tuple((v, e) for v, e in merged.items() if e),
+                                   self.degree - other.degree)
 
     def gcd(self, other):
         d = dict(other.exps)
-        return Monomial({v: min(e, d[v]) for v, e in self.exps if v in d})
+        exps = tuple((v, min(e, d[v])) for v, e in self.exps if v in d)
+        return Monomial._canonical(exps, sum(e for _, e in exps))
 
     def __eq__(self, other):
         return isinstance(other, Monomial) and self.exps == other.exps
 
     def __hash__(self):
-        return hash(self.exps)
+        return self._hash
 
     def __lt__(self, other):
         if self.degree != other.degree:
             return self.degree < other.degree
-        # lex on the merged variable list, earlier variable's higher power wins
-        mine = dict(self.exps)
-        theirs = dict(other.exps)
-        for v in sorted(set(mine) | set(theirs), key=name_key):
-            a, b = mine.get(v, 0), theirs.get(v, 0)
-            if a != b:
-                return a < b
+        # lex on the merged variable list, earlier variable's higher power
+        # wins; equal degrees mean a common prefix leaves nothing over
+        for (va, ea), (vb, eb) in zip(self.exps, other.exps):
+            if va != vb:
+                # the earlier variable is absent (power 0) from the other side
+                return name_key(vb) < name_key(va)
+            if ea != eb:
+                return ea < eb
         return False
+
+    def __gt__(self, other):
+        return other.__lt__(self)
 
     def __str__(self):
         if not self.exps:
@@ -122,11 +174,21 @@ class Monomial:
         return "Monomial(%r)" % (self.exps,)
 
 
-_ONE_MONO = Monomial.unit()
+_ONE_MONO = Monomial._canonical((), 0)
+
+
+def _q(c):
+    """A coefficient as Polynomial holds it: an int when integral, else a
+    Fraction."""
+    return c.numerator if c.denominator == 1 else c
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over Q: a map monomial -> Fraction."""
+    """Sparse multivariate polynomial over Q: a map monomial -> coefficient.
+
+    A coefficient is an int when it is integral and a Fraction otherwise
+    (see _q), so integer arithmetic stays on Python ints.
+    """
 
     __slots__ = ("terms",)
 
@@ -134,36 +196,38 @@ class Polynomial:
         clean = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                c = _q(Fraction(c))
                 if c:
                     clean[m] = c
         self.terms = clean
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _ZERO
 
     @classmethod
     def const(cls, value):
-        return cls({_ONE_MONO: Fraction(value)})
+        return cls({_ONE_MONO: value})
 
     @classmethod
     def var(cls, name):
-        return cls({Monomial.var(name): Fraction(1)})
+        return _raw({Monomial.var(name): 1})
 
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
-        return self.terms == {_ONE_MONO: Fraction(1)}
+        t = self.terms
+        return len(t) == 1 and t.get(_ONE_MONO) == 1
 
     def is_constant(self):
-        return all(m.is_unit() for m in self.terms)
+        t = self.terms
+        return not t or (len(t) == 1 and _ONE_MONO in t)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_ONE_MONO, Fraction(0))
+        return Fraction(self.terms.get(_ONE_MONO, 0))
 
     def variables(self):
         out = set()
@@ -184,23 +248,31 @@ class Polynomial:
         return self.terms[self.leading_monomial()]
 
     def __add__(self, other):
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         res = dict(self.terms)
+        get = res.get
         for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
+            s = get(m, 0) + c
             if s:
-                res[m] = s
+                res[m] = s if s.__class__ is int else _q(s)
             else:
-                res.pop(m, None)
+                del res[m]
         return _raw(res)
 
     def __sub__(self, other):
+        if not other.terms:
+            return self
         res = dict(self.terms)
+        get = res.get
         for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) - c
+            s = get(m, 0) - c
             if s:
-                res[m] = s
+                res[m] = s if s.__class__ is int else _q(s)
             else:
-                res.pop(m, None)
+                del res[m]
         return _raw(res)
 
     def __neg__(self):
@@ -208,21 +280,25 @@ class Polynomial:
 
     def __mul__(self, other):
         res = {}
+        get = res.get
+        theirs = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
+            for m2, c2 in theirs:
                 m = m1 * m2
-                s = res.get(m, Fraction(0)) + c1 * c2
+                s = get(m, 0) + c1 * c2
                 if s:
-                    res[m] = s
+                    res[m] = s if s.__class__ is int else _q(s)
                 else:
-                    res.pop(m, None)
+                    del res[m]
         return _raw(res)
 
     def scale(self, factor):
-        factor = Fraction(factor)
+        factor = _q(Fraction(factor))
         if not factor:
-            return Polynomial.zero()
-        return _raw({m: c * factor for m, c in self.terms.items()})
+            return _ZERO
+        if factor == 1:
+            return self
+        return _raw({m: _q(c * factor) for m, c in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, Polynomial) and self.terms == other.terms
@@ -244,18 +320,18 @@ class Polynomial:
 
     def substitute(self, bindings):
         """Partially substitute some variables by rationals; keep the rest."""
-        out = Polynomial.zero()
+        res = {}
         for m, c in self.terms.items():
-            coeff = Fraction(c)
-            kept = {}
+            coeff = c
+            kept = []
             for v, e in m.exps:
                 if v in bindings:
                     coeff *= Fraction(bindings[v]) ** e
                 else:
-                    kept[v] = e
-            if coeff:
-                out = out + _raw({Monomial(kept): coeff})
-        return out
+                    kept.append((v, e))
+            mono = Monomial._canonical(tuple(kept), sum(e for _, e in kept))
+            res[mono] = res.get(mono, 0) + coeff
+        return _raw({m: _q(c) for m, c in res.items() if c})
 
     def __str__(self):
         if not self.terms:
@@ -280,6 +356,11 @@ def _raw(terms):
     return p
 
 
+# shared and never mutated, like every Polynomial
+_ZERO = _raw({})
+_ONE = _raw({_ONE_MONO: 1})
+
+
 def _term_str(mono, coeff):
     if mono.is_unit():
         return str(coeff)
@@ -298,18 +379,22 @@ def _as_univariate(p, x):
     """View p as a polynomial in x with Polynomial coefficients."""
     coeffs = {}
     for m, c in p.terms.items():
-        d = dict(m.exps)
-        e = d.pop(x, 0)
-        rest = Monomial(d)
-        bucket = coeffs.setdefault(e, {})
-        bucket[rest] = bucket.get(rest, Fraction(0)) + c
-    return {e: _raw({m: c for m, c in bucket.items() if c}) for e, bucket in coeffs.items()}
+        e = 0
+        rest = []
+        for v, ve in m.exps:
+            if v == x:
+                e = ve
+            else:
+                rest.append((v, ve))
+        # distinct monomials of p stay distinct once x is split off
+        coeffs.setdefault(e, {})[Monomial._canonical(tuple(rest), m.degree - e)] = c
+    return {e: _raw(bucket) for e, bucket in coeffs.items()}
 
 
 def _from_univariate(coeffs, x):
-    out = Polynomial.zero()
+    out = _ZERO
     for e, poly in coeffs.items():
-        out = out + poly * _raw({Monomial.var(x, e) if e else _ONE_MONO: Fraction(1)})
+        out = out + poly * _raw({Monomial.var(x, e) if e else _ONE_MONO: 1})
     return out
 
 
@@ -324,20 +409,21 @@ def exact_div(p, d):
     if d.is_one():
         return p
     if d.is_constant():
-        return p.scale(Fraction(1) / d.constant_value())
+        return p.scale(Fraction(1, d.terms[_ONE_MONO]))
     quo = {}
     rem = p
     dlm = d.leading_monomial()
-    dlc = d.leading_coeff()
-    while not rem.is_zero():
+    inv = _q(Fraction(1, d.terms[dlm]))
+    while rem.terms:
         rlm = rem.leading_monomial()
         if not dlm.divides(rlm):
             raise ValueError("division is not exact")
+        # the leading monomial of rem falls strictly, so each qm is new
         qm = rlm // dlm
-        qc = rem.terms[rlm] / dlc
-        quo[qm] = quo.get(qm, Fraction(0)) + qc
+        qc = _q(rem.terms[rlm] * inv)
+        quo[qm] = qc
         rem = rem - d * _raw({qm: qc})
-    return _raw({m: c for m, c in quo.items() if c})
+    return _raw(quo)
 
 
 def _pseudo_rem(a, b, x):
@@ -349,14 +435,14 @@ def _pseudo_rem(a, b, x):
         dr = _univ_degree(r)
         if dr < db:
             break
-        lr = r.get(dr, Polynomial.zero())
+        lr = r[dr]
         # r := lb*r - lr * x^(dr-db) * b
         new = {}
         for e, p in r.items():
             new[e] = p * lb
         for e, p in b.items():
             shifted = e + dr - db
-            new[shifted] = new.get(shifted, Polynomial.zero()) - p * lr
+            new[shifted] = new.get(shifted, _ZERO) - p * lr
         r = {e: p for e, p in new.items() if not p.is_zero()}
     return r
 
@@ -364,7 +450,7 @@ def _pseudo_rem(a, b, x):
 def poly_content_and_primitive(p, x):
     """Content (gcd of x-coefficients) and primitive part of p wrt x."""
     coeffs = _as_univariate(p, x)
-    content = Polynomial.zero()
+    content = _ZERO
     for _, c in sorted(coeffs.items()):
         content = poly_gcd(content, c)
     prim = {e: exact_div(c, content) for e, c in coeffs.items()}
@@ -378,14 +464,14 @@ def poly_gcd(p, q):
     if q.is_zero():
         return _monic(p)
     if p.is_constant() or q.is_constant():
-        return Polynomial.const(1)
+        return _ONE
     # single-term operands: the gcd is the largest monomial dividing everything
     if len(p.terms) == 1 or len(q.terms) == 1:
         g = None
         for poly in (p, q):
             for m in poly.terms:
                 g = m if g is None else g.gcd(m)
-        return _raw({g: Fraction(1)})
+        return _raw({g: 1})
     # trial division catches the frequent exact-multiple case cheaply
     for small, large in ((p, q), (q, p)):
         if small.degree <= large.degree:
@@ -423,7 +509,7 @@ def _monic(p):
     lc = p.leading_coeff()
     if lc == 1:
         return p
-    return p.scale(Fraction(1) / lc)
+    return p.scale(Fraction(1, lc))
 
 
 # --- Scalar --------------------------------------------------------------------
@@ -441,7 +527,7 @@ class Scalar:
 
     def __init__(self, num, den=None):
         if den is None:
-            den = Polynomial.const(1)
+            den = _ONE
         canonical = normalize(num, den)
         self.num = canonical.num
         self.den = canonical.den
@@ -456,19 +542,19 @@ class Scalar:
 
     @classmethod
     def zero(cls):
-        return cls._make(Polynomial.zero(), Polynomial.const(1))
+        return cls._make(_ZERO, _ONE)
 
     @classmethod
     def one(cls):
-        return cls._make(Polynomial.const(1), Polynomial.const(1))
+        return cls._make(_ONE, _ONE)
 
     @classmethod
     def from_fraction(cls, value):
-        return cls._make(Polynomial.const(Fraction(value)), Polynomial.const(1))
+        return cls._make(Polynomial.const(value), _ONE)
 
     @classmethod
     def var(cls, name):
-        return cls._make(Polynomial.var(name), Polynomial.const(1))
+        return cls._make(Polynomial.var(name), _ONE)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -584,7 +670,7 @@ def normalize(num, den):
     if den.is_zero():
         raise ZeroDenominator("zero denominator polynomial")
     if num.is_zero():
-        return Scalar._make(Polynomial.zero(), Polynomial.const(1))
+        return Scalar._make(_ZERO, _ONE)
     if not den.is_one():
         g = poly_gcd(num, den)
         if not g.is_one():
@@ -592,7 +678,7 @@ def normalize(num, den):
             den = exact_div(den, g)
         lc = den.leading_coeff()
         if lc != 1:
-            inv = Fraction(1) / lc
+            inv = Fraction(1, lc)
             num = num.scale(inv)
             den = den.scale(inv)
     return Scalar._make(num, den)

@@ -7,7 +7,7 @@ import pytest
 from homalgebra import catalog, identities
 from homalgebra.cli import main
 from homalgebra.fileio import load, loads, saves
-from homalgebra.parser import _MAX_EXPONENT
+from homalgebra.parser import _MAX_DIGITS, _MAX_EXPONENT
 
 
 @pytest.fixture
@@ -342,6 +342,17 @@ def _setting(value, *path):
     return mutate
 
 
+def _first_constant(text):
+    def mutate(doc):
+        value = doc["mu"][0]["value"]
+        value[next(iter(value))] = text
+        return json.dumps(doc)
+    return mutate
+
+
+_LONG_INTEGER = "1" * 5000   # past Python's 4300-digit int conversion limit
+
+
 # file text from a valid document; each case used to escape as a traceback
 _MALFORMED = {
     "nested-arrays": lambda doc: "[" * 100000 + "]" * 100000,
@@ -353,6 +364,16 @@ _MALFORMED = {
     "unit-not-string": _setting(["e0"], "unit"),
     "twist-not-string": _setting(["alpha1"], "twist"),
     "check-unit-unknown-label": json.dumps,
+    "non-ascii-digit-constant": _first_constant("\u00b2"),
+    "long-integer-constant": _first_constant(_LONG_INTEGER),
+    "long-json-number": lambda doc: _first_constant("N")(doc).replace(
+        '"N"', _LONG_INTEGER),
+}
+
+# --expr text with its offending token at column 5
+_MALFORMED_EXPR = {
+    "non-ascii-digit": "x = \u00b2*x",
+    "long-integer": "x = %s*x" % _LONG_INTEGER,
 }
 
 
@@ -370,3 +391,21 @@ class TestMalformedInput:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED_EXPR))
+    def test_expr_exits_two_at_the_token(self, case, emit, capsys):
+        code, _, err = run(capsys, "verify", emit("alt4_mu1"),
+                           "--expr", _MALFORMED_EXPR[case])
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "(line 1, column 5)" in err
+
+    def test_digit_limit_is_inclusive(self, emit, capsys):
+        path = emit("alt4_mu1")
+        code, _, err = run(capsys, "verify", path,
+                           "--expr", "x = %s*x" % ("1" * _MAX_DIGITS))
+        assert code == 1 and err == ""
+        code, _, err = run(capsys, "verify", path,
+                           "--expr", "x = %s*x" % ("1" * (_MAX_DIGITS + 1)))
+        assert code == 2
+        assert "exceeds the limit %d" % _MAX_DIGITS in err

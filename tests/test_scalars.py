@@ -4,8 +4,11 @@ arithmetic or by hand) before being asserted."""
 
 import random
 from fractions import Fraction
+from functools import cmp_to_key
+from math import prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from homalgebra.errors import (
     DivisionByZero,
@@ -19,10 +22,12 @@ from homalgebra.scalars import (
     Scalar,
     arith,
     exact_div,
+    name_key,
     nonzero_constraints,
     normalize,
     poly_gcd,
 )
+from homalgebra.parser import parse_scalar_expr
 
 from conftest import random_point, random_polynomial, random_nonzero_polynomial, random_scalar
 
@@ -208,8 +213,8 @@ class TestGcdInternals:
             p = common * random_nonzero_polynomial(rng, max_terms=2, max_degree=1)
             q = common * random_nonzero_polynomial(rng, max_terms=2, max_degree=1)
             g = poly_gcd(p, q)
-            assert exact_div(g, poly_gcd(g, common)) .is_constant() or True
             # common divides the gcd
+            assert exact_div(g, common) * common == g
             assert exact_div(p, g) * g == p
             quotient_of_common = poly_gcd(g, common)
             assert exact_div(common, quotient_of_common).is_constant()
@@ -241,3 +246,231 @@ class TestPrinting:
         # name order is digit aware: a2 before a10
         q = Polynomial.var("a10") + Polynomial.var("a2")
         assert str(q) == "a2 + a10"
+
+
+# --- independent oracles -------------------------------------------------------------
+#
+# A polynomial is drawn as a raw spec, a list of (coefficient, {variable:
+# exponent}); the oracle evaluates the spec with plain Fraction arithmetic,
+# and a result is read off its terms the same way, never through
+# Polynomial.evaluate.  The names exercise the digit-aware order (a2 < a10).
+
+NAMES = ("a2", "a10", "b", "x_1")
+# fixed examples, so that every run of the suite checks the same cases in
+# the same time
+oracle = settings(max_examples=60, deadline=None, derandomize=True,
+                  database=None)
+
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=5))
+monomial_exps = st.dictionaries(st.sampled_from(NAMES), st.integers(1, 2),
+                                max_size=3)
+poly_specs = st.lists(st.tuples(coefficients, monomial_exps), max_size=3)
+points = st.fixed_dictionaries({
+    v: st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    for v in NAMES})
+
+
+def _poly(spec):
+    terms = {}
+    for c, exps in spec:
+        m = Monomial(exps)
+        terms[m] = terms.get(m, 0) + Fraction(c)
+    return Polynomial(terms)
+
+
+def _spec_value(spec, pt):
+    return sum((Fraction(c) * prod(pt[v] ** e for v, e in exps.items())
+                for c, exps in spec), Fraction(0))
+
+
+def _poly_value(p, pt):
+    return sum((Fraction(c) * prod(pt[v] ** e for v, e in m.exps)
+                for m, c in p.terms.items()), Fraction(0))
+
+
+def _value(s, pt):
+    return _poly_value(s.num, pt) / _poly_value(s.den, pt)
+
+
+def _assert_canonical(s):
+    for p in (s.num, s.den):
+        for c in p.terms.values():
+            # an int when integral, a Fraction only when not
+            assert type(c) is int or (type(c) is Fraction and c.denominator != 1)
+    assert not s.den.is_zero() and s.den.leading_coeff() == 1
+    if s.num.is_zero():
+        assert s.den.is_one()
+    else:
+        assert poly_gcd(s.num, s.den).is_one()
+
+
+@st.composite
+def scalar_specs(draw):
+    num = draw(poly_specs)
+    den = draw(poly_specs.filter(lambda spec: not _poly(spec).is_zero()))
+    return num, den
+
+
+def _scalar_at(spec, pt):
+    """The Scalar of a (num, den) spec and its oracle value at pt; the
+    value is None where the denominator vanishes."""
+    num, den = spec
+    dv = _spec_value(den, pt)
+    value = _spec_value(num, pt) / dv if dv else None
+    return Scalar(_poly(num), _poly(den)), value
+
+
+class TestFractionOracle:
+    @oracle
+    @given(x=scalar_specs(), y=scalar_specs(), pt=points)
+    def test_field_operations(self, x, y, pt):
+        xs, xv = _scalar_at(x, pt)
+        ys, yv = _scalar_at(y, pt)
+        assume(xv is not None and yv is not None)
+        results = [(xs + ys, xv + yv), (xs - ys, xv - yv), (xs * ys, xv * yv),
+                   (-xs, -xv)]
+        if yv:
+            results.append((xs / ys, xv / yv))
+        for got, want in results:
+            _assert_canonical(got)
+            assert _value(got, pt) == want
+
+    # |n| <= 2: the cube of a 4-variable scalar can cost the primitive-PRS
+    # poly_gcd half a minute
+    @oracle
+    @given(x=scalar_specs(), n=st.integers(-2, 2), pt=points)
+    def test_power(self, x, n, pt):
+        xs, xv = _scalar_at(x, pt)
+        assume(xv is not None and (n >= 0 or xv))
+        got = xs ** n
+        _assert_canonical(got)
+        assert _value(got, pt) == xv ** n
+
+    @oracle
+    @given(x=scalar_specs(), g=poly_specs, pt=points)
+    def test_normalize(self, x, g, pt):
+        num, den = x
+        gp = _poly(g)
+        assume(not gp.is_zero())
+        dv = _spec_value(den, pt) * _spec_value(g, pt)
+        assume(dv != 0)
+        got = normalize(_poly(num) * gp, _poly(den) * gp)
+        _assert_canonical(got)
+        assert _value(got, pt) == _spec_value(num, pt) * _spec_value(g, pt) / dv
+        assert got == Scalar(_poly(num), _poly(den))
+
+    @oracle
+    @given(x=scalar_specs(), pt=points,
+           bound=st.sets(st.sampled_from(NAMES), max_size=len(NAMES)))
+    def test_substitute(self, x, pt, bound):
+        xs, xv = _scalar_at(x, pt)
+        assume(xv is not None)
+        got = xs.substitute({v: pt[v] for v in bound})
+        _assert_canonical(got)
+        assert not got.variables() & bound
+        assert _value(got, pt) == xv
+
+    @oracle
+    @given(x=scalar_specs())
+    def test_string_round_trip(self, x):
+        s = Scalar(_poly(x[0]), _poly(x[1]))
+        assert parse_scalar_expr(str(s), NAMES) == s
+
+
+def _to_sympy(sympy, p):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * prod(sympy.Symbol(v) ** e for v, e in m.exps)
+                for m, c in p.terms.items()), sympy.Integer(0))
+
+
+class TestSympyCrossCheck:
+    def test_poly_gcd_matches_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        gens = [sympy.Symbol(v) for v in NAMES]
+        for _ in range(40):
+            common = random_polynomial(rng, max_terms=2, variables=NAMES)
+            p = common * random_nonzero_polynomial(rng, variables=NAMES)
+            q = common * random_nonzero_polynomial(rng, variables=NAMES)
+            if p.is_zero() and q.is_zero():
+                continue
+            ours = sympy.Poly(_to_sympy(sympy, poly_gcd(p, q)), *gens)
+            theirs = sympy.Poly(sympy.gcd(_to_sympy(sympy, p),
+                                          _to_sympy(sympy, q)), *gens)
+            assert ours.monic() == theirs.monic()
+
+    def test_canonical_form_matches_cancel(self, rng):
+        sympy = pytest.importorskip("sympy")
+        for _ in range(40):
+            num = random_polynomial(rng, variables=NAMES)
+            den = random_nonzero_polynomial(rng, variables=NAMES)
+            g = random_nonzero_polynomial(rng, max_terms=2, variables=NAMES)
+            s = normalize(num * g, den * g)
+            their_num, their_den = sympy.fraction(sympy.cancel(
+                _to_sympy(sympy, num * g) / _to_sympy(sympy, den * g)))
+            # both forms are coprime, so they agree up to one constant
+            if s.is_zero():
+                assert their_num == 0
+                continue
+            assert sympy.cancel(_to_sympy(sympy, s.num) / their_num).is_number
+            assert sympy.cancel(_to_sympy(sympy, s.den) / their_den).is_number
+
+
+# --- monomial order ------------------------------------------------------------------
+
+
+def _reference_lt(m1, m2):
+    """Graded lex as Monomial.__lt__ computed it before monomials stored their
+    degree: degrees first, then a dict walk over the merged variables in
+    name order."""
+    d1 = sum(e for _, e in m1.exps)
+    d2 = sum(e for _, e in m2.exps)
+    if d1 != d2:
+        return d1 < d2
+    mine, theirs = dict(m1.exps), dict(m2.exps)
+    for v in sorted(set(mine) | set(theirs), key=name_key):
+        a, b = mine.get(v, 0), theirs.get(v, 0)
+        if a != b:
+            return a < b
+    return False
+
+
+def _reference_cmp(m1, m2):
+    return -1 if _reference_lt(m1, m2) else (1 if _reference_lt(m2, m1) else 0)
+
+
+def _reference_str(p):
+    parts = []
+    for m in sorted(p.terms, key=cmp_to_key(_reference_cmp), reverse=True):
+        c = Fraction(p.terms[m])
+        body = (str(abs(c)) if not m.exps
+                else str(m) if abs(c) == 1 else "%s*%s" % (abs(c), m))
+        sign = ("" if c > 0 else "-") if not parts else (" + " if c > 0 else " - ")
+        parts.append(sign + body)
+    return "".join(parts) or "0"
+
+
+ORDER_NAMES = NAMES + ("a", "x_10", "x_2")
+monomials = st.dictionaries(st.sampled_from(ORDER_NAMES), st.integers(1, 3),
+                            max_size=4).map(Monomial)
+
+
+class TestMonomialOrder:
+    @settings(oracle, max_examples=300)
+    @given(m1=monomials, m2=monomials)
+    def test_matches_reference(self, m1, m2):
+        assert (m1 < m2) == _reference_lt(m1, m2)
+        assert (m1 > m2) == _reference_lt(m2, m1)
+        assert (m1 <= m2) == (not _reference_lt(m2, m1))
+        assert (m1 * m2).exps == Monomial(
+            {v: dict(m1.exps).get(v, 0) + dict(m2.exps).get(v, 0)
+             for v in dict(m1.exps) | dict(m2.exps)}).exps
+
+    @settings(oracle, max_examples=100)
+    @given(ms=st.lists(monomials, max_size=8, unique=True),
+           cs=st.lists(coefficients.filter(bool), min_size=8, max_size=8))
+    def test_sorted_terms_and_str_unchanged(self, ms, cs):
+        p = Polynomial(dict(zip(ms, cs)))
+        assert sorted(p.terms) == sorted(p.terms, key=cmp_to_key(_reference_cmp))
+        assert str(p) == _reference_str(p)
