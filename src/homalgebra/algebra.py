@@ -588,10 +588,9 @@ class _Echelon:
             return
         pivot_col = _first_nonzero(v)
         pivot = v.coords[pivot_col]
-        if not (pivot.num.is_constant() and pivot.den.is_one()):
-            for c in nonzero_constraints(pivot.num):
-                if c not in self.pivot_constraints:
-                    self.pivot_constraints.append(c)
+        for c in nonzero_constraints(pivot.num):
+            if c not in self.pivot_constraints:
+                self.pivot_constraints.append(c)
         self.rows.append((pivot_col, v))
         self.rows.sort(key=lambda pr: pr[0])
 

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .algebra import AlgebraSpec, LinMap, Param
-from .errors import ParseError, ValidationError
+from .errors import DivisionByZero, ParseError, ValidationError
 from .parser import parse_scalar_expr
 
 
@@ -82,7 +82,7 @@ def loads(text, source="<string>"):
     def parse(expr, where):
         try:
             return parse_scalar_expr(expr, param_names)
-        except ParseError as exc:
+        except (ParseError, DivisionByZero) as exc:
             raise ValidationError("%s: %s: %s" % (source, where, exc)) from None
 
     mu = []

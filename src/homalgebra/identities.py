@@ -16,7 +16,9 @@ witness of a failure:
   basis   - the first basis tuple (last variable moving fastest) at which the
             identity fails.  Only for multilinear identities (each product
             monomial uses each variable exactly once), whose residual holds
-            the value at (b_i, b_j, ...) as the coefficient of x_i*y_j*...
+            the value at (b_i, b_j, ...) as the coefficient of x_i*y_j*...;
+            it is read by substituting 1 for x_i, y_j, ... and 0 for every
+            other generic coordinate.
 
 The builtin catalog holds the twisted associativity, alternativity (plain
 and linearized), flexibility, associator alternation, commutativity, Jordan
@@ -61,7 +63,7 @@ from .parser import (
     identity_to_text,
     parse_identity,
 )
-from .scalars import Monomial, Polynomial, Scalar, normalize
+from .scalars import Scalar
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -174,6 +176,9 @@ def generic_element(A, var, taken=()):
 
 # --- checking -------------------------------------------------------------------------
 
+# random small-integer points tried for a generic-strategy counterexample
+_SPECIALIZATION_TRIES = 120
+
 
 def check(A, ast, strategy="generic"):
     """Verify ast = 0 over A, universally in its variables.
@@ -215,37 +220,24 @@ def _basis_witness(A, ast, bindings, value):
     """Witness at the lexicographically first failing basis tuple.
 
     Every numerator monomial of a multilinear residual holds exactly one
-    generic coordinate of each variable; the monomials naming x_i, y_j, ...
-    sum to the value at (b_i, b_j, ...) times the coordinate's denominator.
+    generic coordinate of each variable, and its denominator holds none; so
+    setting x_i, y_j, ... to 1 and every other generic coordinate to 0 leaves
+    the value at (b_i, b_j, ...).
     """
     slot = {}
     for p, v in enumerate(ast.vars):
         for i, c in enumerate(bindings[v].coords):
             (name,) = c.variables()
             slot[name] = (p, i)
-
-    def split(mono):
-        at = [0] * len(ast.vars)
-        rest = []
-        for name, e in mono.exps:
-            if name in slot:
-                p, i = slot[name]
-                at[p] = i
-            else:
-                rest.append((name, e))
-        return tuple(at), Monomial(rest)
-
-    terms = [[split(m) + (coeff,) for m, coeff in c.num.terms.items()]
-             for c in value.coords]
-    at = min(t for coord_terms in terms for t, _, _ in coord_terms)
-    at_value = Vector([
-        normalize(Polynomial({m: coeff for t, m, coeff in coord_terms
-                              if t == at}), c.den)
-        for coord_terms, c in zip(terms, value.coords)])
+    at = min(tuple(i for _, i in sorted(slot[name] for name in m.variables()
+                                        if name in slot))
+             for c in value.coords for m in c.num.terms)
+    point = {name: int(at[p] == i) for name, (p, i) in slot.items()}
+    at_value = Vector([c.substitute(point) for c in value.coords])
     return _defect(tuple(A.basis[i] for i in at), A.basis, at_value)
 
 
-def _find_specialization(value, bindings, A, tries=120):
+def _find_specialization(value, bindings, A):
     """Small integer coordinates exhibiting a concrete counterexample.
 
     Substitutes the generic coordinates only; algebra parameters stay
@@ -258,7 +250,7 @@ def _find_specialization(value, bindings, A, tries=120):
             coord_vars.extend(c.num.variables())
     rng = random.Random(20240901)
     pool = [0, 1, -1, 2, -2, 3]
-    for attempt in range(tries):
+    for attempt in range(_SPECIALIZATION_TRIES):
         if attempt == 0:
             point = {v: Fraction(1) for v in coord_vars}
         else:

@@ -325,19 +325,12 @@ def parse_identity(text):
     rhs = _iexpr(cur)
     if cur.current.kind != "eof":
         cur.fail("end of input")
-    body = _sum_terms(_terms_of(lhs) + [(-sign, node) for sign, node in _terms_of(rhs)])
+    body = _sum_terms(_signed_terms(lhs, 1) + _signed_terms(rhs, -1))
     variables = dict.fromkeys(n.name for n in _subterms(body) if isinstance(n, Var))
     return IdentityAST(vars=tuple(variables), body=body)
 
 
-def _terms_of(node):
-    if isinstance(node, Sum):
-        return list(node.terms)
-    return [(1, node)]
-
-
 def _sum_terms(terms):
-    terms = [t for t in terms if t[1] is not None]
     if len(terms) == 1 and terms[0][0] == 1:
         return terms[0][1]
     return Sum(tuple(terms))
@@ -392,17 +385,7 @@ def _ifactor(cur):
     if tok.kind == "ident":
         cur.advance()
         if tok.text == "mu":
-            open_tok = cur.expect("(", "'(' after mu")
-            args = [_iexpr(cur)]
-            while cur.current.kind == ",":
-                cur.advance()
-                args.append(_iexpr(cur))
-            cur.expect(")", "',' or ')' in mu(...)")
-            if len(args) != 2:
-                raise ArityError("mu takes exactly 2 arguments, got %d" % len(args),
-                                 open_tok.offset, open_tok.line, open_tok.column,
-                                 expected="2 arguments", found="%d" % len(args))
-            return Mu(args[0], args[1])
+            return Mu(*_arguments(cur, "mu", 2, "',' or ')' in mu(...)"))
         if tok.text == "al":
             power = 1
             if cur.current.kind == "^":
@@ -413,17 +396,7 @@ def _ifactor(cur):
                     raise ParseError("al power must be >= 1",
                                      ptok.offset, ptok.line, ptok.column,
                                      expected="positive integer", found=ptok.text)
-            open_tok = cur.expect("(", "'(' after al")
-            args = [_iexpr(cur)]
-            while cur.current.kind == ",":
-                cur.advance()
-                args.append(_iexpr(cur))
-            cur.expect(")", "')' in al(...)")
-            if len(args) != 1:
-                raise ArityError("al takes exactly 1 argument, got %d" % len(args),
-                                 open_tok.offset, open_tok.line, open_tok.column,
-                                 expected="1 argument", found="%d" % len(args))
-            return Alpha(power, args[0])
+            return Alpha(power, *_arguments(cur, "al", 1, "')' in al(...)"))
         return Var(tok.text)
     if tok.kind == "(":
         cur.advance()
@@ -431,3 +404,22 @@ def _ifactor(cur):
         cur.expect(")", "closing parenthesis")
         return inner
     cur.fail("variable, mu(...), al(...) or parenthesized expression")
+
+
+def _arguments(cur, head, arity, closing):
+    """The arity arguments of head(...); closing describes the token expected
+    after an argument."""
+    open_tok = cur.expect("(", "'(' after %s" % head)
+    args = [_iexpr(cur)]
+    while cur.current.kind == ",":
+        cur.advance()
+        args.append(_iexpr(cur))
+    cur.expect(")", closing)
+    if len(args) != arity:
+        noun = "argument" if arity == 1 else "arguments"
+        raise ArityError("%s takes exactly %d %s, got %d"
+                         % (head, arity, noun, len(args)),
+                         open_tok.offset, open_tok.line, open_tok.column,
+                         expected="%d %s" % (arity, noun),
+                         found="%d" % len(args))
+    return args

@@ -12,6 +12,9 @@ as a Fraction otherwise, so the integer tables that make up most inputs are
 computed on ints; constant_value() and evaluate() still return Fractions.  A
 monomial keeps its variables as a name-sorted tuple with its degree and hash
 computed once.  The zero and one polynomials are shared constants.
+
+A power takes no gcd: num^n and den^n stay coprime when num and den are, so
+s ** n is canonical by construction once its denominator is made monic.
 """
 
 from __future__ import annotations
@@ -235,10 +238,6 @@ class Polynomial:
             out |= m.variables()
         return frozenset(out)
 
-    @property
-    def degree(self):
-        return max((m.degree for m in self.terms), default=0)
-
     def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -320,17 +319,18 @@ class Polynomial:
 
     def substitute(self, bindings):
         """Partially substitute some variables by rationals; keep the rest."""
+        values = {v: _q(Fraction(x)) for v, x in bindings.items()}
         res = {}
         for m, c in self.terms.items():
-            coeff = c
             kept = []
             for v, e in m.exps:
-                if v in bindings:
-                    coeff *= Fraction(bindings[v]) ** e
+                if v in values:
+                    c *= values[v] ** e
                 else:
                     kept.append((v, e))
-            mono = Monomial._canonical(tuple(kept), sum(e for _, e in kept))
-            res[mono] = res.get(mono, 0) + coeff
+            if c:
+                mono = Monomial._canonical(tuple(kept), sum(e for _, e in kept))
+                res[mono] = res.get(mono, 0) + c
         return _raw({m: _q(c) for m, c in res.items() if c})
 
     def __str__(self):
@@ -371,8 +371,10 @@ def _term_str(mono, coeff):
 
 # --- multivariate gcd ---------------------------------------------------------
 #
-# Primitive PRS in a main variable, recursing on the coefficients.  Inputs in
-# this package are tiny (degree <= 6 or so), so no subresultant tricks needed.
+# Primitive PRS in a main variable, recursing on the coefficients.  Its cost
+# has no bound: the coefficients of the pseudo-remainders can swell, so even a
+# gcd of small 4-variable inputs can take tens of seconds (see ROADMAP item 1,
+# a gcd with a bounded worst case).
 
 
 def _as_univariate(p, x):
@@ -408,8 +410,6 @@ def exact_div(p, d):
         raise ZeroDivisionError("polynomial division by zero")
     if d.is_one():
         return p
-    if d.is_constant():
-        return p.scale(Fraction(1, d.terms[_ONE_MONO]))
     quo = {}
     rem = p
     dlm = d.leading_monomial()
@@ -428,7 +428,7 @@ def exact_div(p, d):
 
 def _pseudo_rem(a, b, x):
     """Pseudo-remainder of a by b as univariate polynomials in x."""
-    da, db = _univ_degree(a), _univ_degree(b)
+    db = _univ_degree(b)
     lb = b[db]
     r = dict(a)
     while True:
@@ -447,14 +447,13 @@ def _pseudo_rem(a, b, x):
     return r
 
 
-def poly_content_and_primitive(p, x):
-    """Content (gcd of x-coefficients) and primitive part of p wrt x."""
-    coeffs = _as_univariate(p, x)
+def _primitive(coeffs):
+    """Content (gcd of the coefficients) and primitive part of a polynomial
+    in its univariate view."""
     content = _ZERO
     for _, c in sorted(coeffs.items()):
         content = poly_gcd(content, c)
-    prim = {e: exact_div(c, content) for e, c in coeffs.items()}
-    return content, prim
+    return content, {e: exact_div(c, content) for e, c in coeffs.items()}
 
 
 def poly_gcd(p, q):
@@ -472,35 +471,16 @@ def poly_gcd(p, q):
             for m in poly.terms:
                 g = m if g is None else g.gcd(m)
         return _raw({g: 1})
-    # trial division catches the frequent exact-multiple case cheaply
-    for small, large in ((p, q), (q, p)):
-        if small.degree <= large.degree:
-            try:
-                exact_div(large, small)
-            except ValueError:
-                pass
-            else:
-                return _monic(small)
-            break
-    shared = p.variables() | q.variables()
-    x = min(shared, key=name_key)
-    cont_p, prim_p = poly_content_and_primitive(p, x)
-    cont_q, prim_q = poly_content_and_primitive(q, x)
+    x = min(p.variables() | q.variables(), key=name_key)
+    cont_p, a = _primitive(_as_univariate(p, x))
+    cont_q, b = _primitive(_as_univariate(q, x))
     cont = poly_gcd(cont_p, cont_q)
-
-    a, b = prim_p, prim_q
     if _univ_degree(a) < _univ_degree(b):
         a, b = b, a
-    while _univ_degree(b) >= 0:
+    while b:
         r = _pseudo_rem(a, b, x)
-        if not r:
-            a, b = b, {}
-            break
-        rp = _from_univariate(r, x)
-        _, r_prim = poly_content_and_primitive(rp, x)
-        a, b = b, r_prim
-    g = _from_univariate(a, x)
-    return _monic(g * cont)
+        a, b = b, (_primitive(r)[1] if r else {})
+    return _monic(_from_univariate(a, x) * cont)
 
 
 def _monic(p):
@@ -605,14 +585,18 @@ class Scalar:
         return _coerce(other) / self
 
     def __pow__(self, n):
+        # num^n and den^n stay coprime, so no gcd is needed
+        num, den = self.num, self.den
         if n < 0:
             if self.is_zero():
                 raise DivisionByZero("zero scalar to a negative power")
-            return Scalar.one() / self ** (-n)
-        out = Scalar.one()
+            num, den, n = den, num, -n
+        out_num = out_den = _ONE
         for _ in range(n):
-            out = out * self
-        return out
+            out_num = out_num * num
+            out_den = out_den * den
+        inv = Fraction(1, out_den.leading_coeff())
+        return Scalar._make(out_num.scale(inv), out_den.scale(inv))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -392,6 +392,21 @@ class TestMalformedInput:
         assert code == 2
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("mutate, field", [
+        (_setting("1/(a1-a1)", "mu", 0, "value", "e0"), "mu[0].value[e0]"),
+        (_setting("1/0", "maps", "alpha1", 0, 0), "maps[alpha1][0][0]"),
+    ], ids=["mu-value", "map-entry"])
+    def test_division_by_zero_names_the_field(self, mutate, field, capsys,
+                                              tmp_path):
+        entry = catalog.get("alt4_mu1_twist_alpha1")
+        doc = json.loads(saves(entry.algebra, maps=entry.maps))
+        path = tmp_path / "malformed.json"
+        path.write_text(mutate(doc))
+        code, _, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert err.startswith("error: %s: %s: " % (path, field))
+        assert "division by the zero scalar" in err
+
     @pytest.mark.parametrize("case", sorted(_MALFORMED_EXPR))
     def test_expr_exits_two_at_the_token(self, case, emit, capsys):
         code, _, err = run(capsys, "verify", emit("alt4_mu1"),
