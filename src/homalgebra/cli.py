@@ -23,6 +23,7 @@ identity map stands in for the twisting map wherever an identity needs one
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -68,8 +69,7 @@ _DEFAULT_SUITE = (
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except HomAlgebraError as exc:
@@ -80,6 +80,10 @@ def main(argv=None):
         return 2
 
 
+# built on the first main() call and reused by every later one in the
+# process: argparse looks up the output streams and the terminal width when
+# it prints, not when it builds, and parse_args leaves the tree unchanged
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="homalg",

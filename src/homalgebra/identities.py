@@ -78,14 +78,16 @@ def evaluate(A, ast, bindings):
 
 
 def _alpha_power(A, k, cache):
+    """alpha^k as alpha^(k//2) composed with alpha^(k - k//2); cache holds
+    the powers made so far, so al^32 costs 5 compositions, not 31."""
     if A.alpha is None:
         raise MissingTwistMap(
             "identity uses the twisting map but algebra %r has none" % A.name)
     if k not in cache:
-        m = A.alpha
-        for _ in range(k - 1):
-            m = compose(A.alpha, m)
-        cache[k] = m
+        half = k // 2
+        cache[k] = (A.alpha if k == 1 else
+                    compose(_alpha_power(A, half, cache),
+                            _alpha_power(A, k - half, cache)))
     return cache[k]
 
 

@@ -42,9 +42,9 @@ from .scalars import Scalar
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
 _MAX_NESTING = 100   # far beyond real expressions, within Python's stack
-# a power costs one multiplication (scalars) or one map composition (al^k)
-# per unit of its exponent, and al^32 of a 4-dim parametric map already
-# takes about a second; the paper's identities use al^2 at most
+# a scalar power costs one multiplication per unit of its exponent, and
+# al^32 of a 4-dim parametric map (5 compositions, by halving) still takes
+# about half a second; the paper's identities use al^2 at most
 _MAX_EXPONENT = 32
 # far beyond any coefficient in practice, well within Python's int-string
 # conversion limit (4300 digits)

@@ -14,7 +14,9 @@ monomial keeps its variables as a name-sorted tuple with its degree and hash
 computed once.  The zero and one polynomials are shared constants.
 
 A power takes no gcd: num^n and den^n stay coprime when num and den are, so
-s ** n is canonical by construction once its denominator is made monic.
+s ** n is canonical by construction once its denominator is made monic.  A
+product or quotient takes the two cross gcds of its factors (Henrici), not
+one gcd of the multiplied-out result; a sum still reduces by one gcd.
 """
 
 from __future__ import annotations
@@ -571,7 +573,7 @@ class Scalar:
         other = _coerce(other)
         if self.den.is_one() and other.den.is_one():
             return Scalar._make(self.num * other.num, self.den)
-        return normalize(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -579,7 +581,10 @@ class Scalar:
         other = _coerce(other)
         if other.is_zero():
             raise DivisionByZero("division by the zero scalar")
-        return normalize(self.num * other.den, self.den * other.num)
+        # times other's reciprocal, its denominator made monic
+        inv = Fraction(1, other.num.leading_coeff())
+        return _product(self.num, self.den,
+                        other.den.scale(inv), other.num.scale(inv))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -666,6 +671,22 @@ def normalize(num, den):
             num = num.scale(inv)
             den = den.scale(inv)
     return Scalar._make(num, den)
+
+
+def _product(a, b, c, d):
+    """Canonical (a/b)(c/d) for canonical pairs a/b and c/d (Henrici).
+
+    a/b and c/d are in lowest terms, so only gcd(a, d) and gcd(c, b) can
+    cancel; with those divided out the product is coprime, and its
+    denominator is monic as a product of monic factors.  Two gcds of the
+    factors replace one gcd of the multiplied-out product.
+    """
+    if a.is_zero() or c.is_zero():
+        return Scalar._make(_ZERO, _ONE)
+    g1 = poly_gcd(a, d)
+    g2 = poly_gcd(c, b)
+    return Scalar._make(exact_div(a, g1) * exact_div(c, g2),
+                        exact_div(b, g2) * exact_div(d, g1))
 
 
 def arith(kind, x, y):

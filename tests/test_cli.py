@@ -1,10 +1,11 @@
 """Command-line surface: subcommands, exit codes, report determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from homalgebra import catalog, identities
+from homalgebra import catalog, cli, identities
 from homalgebra.cli import main
 from homalgebra.fileio import load, loads, saves
 from homalgebra.parser import _MAX_DIGITS, _MAX_EXPONENT
@@ -132,6 +133,82 @@ class TestVerify:
                            "--identity", "left_hom_alternative")
         assert code == 2
         assert "multilinear" in err
+
+
+def run_to_exit(capsys, *argv):
+    """main(argv) for a call that argparse ends: exit code, stdout, stderr."""
+    with pytest.raises(SystemExit) as stop:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return stop.value.code, captured.out, captured.err
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+class TestParserReuse:
+    def test_parser_is_built_once_per_process(self, emit, capsys, monkeypatch,
+                                              fresh_parser):
+        built = []
+        real_init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        path = emit("alt4_mu1")
+        run(capsys, "catalog", "list")
+        run(capsys, "verify", path, "--identity", "commutative")
+        run_to_exit(capsys, "verify")
+        run(capsys, "verify", path, "--json")
+        assert built.count("homalg") == 1
+
+    def test_append_lists_are_not_shared_between_calls(self, emit, capsys):
+        path = emit("alt4_mu1_twist_alpha1")
+
+        def checked(*argv):
+            code, out, _ = run(capsys, "verify", path, "--json", *argv)
+            return code, [c["identity"] for c in json.loads(out)["checks"]]
+
+        _, first = checked("--identity", "commutative",
+                           "--expr", "mu(x, y) = mu(y, x)")
+        _, second = checked("--identity", "hom_associative")
+        _, third = checked("--expr", "al(x) = al(x)")
+        _, default = checked()
+        assert first == ["commutative", "mu(x, y) = mu(y, x)"]
+        assert second == ["hom_associative"]
+        assert third == ["al(x) = al(x)"]
+        assert default[:2] == ["commutative", "hom_associative"]
+        assert len(default) >= 10
+
+    def test_usage_error_between_good_calls(self, emit, capsys):
+        path = emit("alt4_mu1")
+        good = ("verify", path, "--json", "--identity", "commutative")
+        before = run(capsys, *good)
+        code, out, err = run_to_exit(capsys, "verify", path, "--strategy",
+                                     "exhaustive")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage: homalg verify")
+        assert "invalid choice: 'exhaustive'" in err
+        assert run(capsys, *good) == before
+
+    def test_help_follows_the_terminal_width_at_print_time(
+            self, capsys, monkeypatch, fresh_parser):
+        monkeypatch.setenv("COLUMNS", "200")
+        run(capsys, "catalog", "list")          # builds the shared parser
+        monkeypatch.setenv("COLUMNS", "40")
+        for argv in (["--help"], ["verify", "--help"]):
+            shared = run_to_exit(capsys, *argv)
+            with pytest.raises(SystemExit):
+                cli._build_parser.__wrapped__().parse_args(argv)
+            fresh = capsys.readouterr()
+            assert shared == (0, fresh.out, fresh.err)
 
 
 class TestTransforms:

@@ -12,6 +12,7 @@ from homalgebra.algebra import (
     LinMap,
     Param,
     Vector,
+    compose,
     polarize,
     yau_twist,
 )
@@ -140,6 +141,29 @@ class TestEvaluate:
         y = generic_element(A, "y", taken=[str(c.num) for c in x.coords])
         evaluate(A, builtin("hom_jordan").ast, {"x": x, "y": y})
         assert len(calls) == 5
+
+    def test_alpha_power_composes_by_halving(self, monkeypatch):
+        # al^32 is al^16 twice, al^16 is al^8 twice, and so on down to al:
+        # five compositions, not 31
+        calls = []
+        real_compose = identities.compose
+
+        def counting_compose(f, g):
+            calls.append((f, g))
+            return real_compose(f, g)
+
+        monkeypatch.setattr(identities, "compose", counting_compose)
+        A = catalog.get("alt4_mu1_twist_alpha1").algebra
+        evaluate(A, parse_identity("al^32(x) = al^32(x)"),
+                 {"x": A.basis_vector(0)})
+        assert len(calls) == 5
+
+    def test_alpha_power_matches_iterated_composition(self):
+        A = catalog.get("alt4_mu1_twist_alpha1").algebra
+        iterated = A.alpha
+        for k in range(1, 10):
+            assert identities._alpha_power(A, k, {}) == iterated, k
+            iterated = compose(A.alpha, iterated)
 
     def test_jordan_on_basis_pairs_of_forced_twist(self):
         # the forced twist of the polarized table satisfies the twisted

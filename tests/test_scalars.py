@@ -383,8 +383,9 @@ class TestFractionOracle:
 
 
 # A 4-variable scalar whose cube, multiplied out and reduced by one gcd of
-# num^3 and den^3, costs the primitive PRS half a minute; a power takes no gcd.
-# The checks run in a subprocess under a timeout, so that a regression fails
+# num^3 and den^3, costs the primitive PRS half a minute; a power takes no gcd,
+# and a product or quotient takes only the cross gcds of its factors.  The
+# checks run in a subprocess under a timeout, so that a regression fails
 # instead of hanging the suite.
 _CUBE_BASE = ("(-7/15*a2*a10*x_1 - 4/3*b - 1/3)"
               "/(a2^2*b^2*x_1^2 + 2/15*a2*a10*x_1^2 + 4/3)")
@@ -406,6 +407,24 @@ for pt in points:
     values.append([str(r.specialize(pt)) for r in (s ** 3, s ** -3, constant)])
 print(json.dumps(values))
 """
+_PRODUCT_SCRIPT = """
+import json, sys
+from homalgebra.parser import parse_scalar_expr
+
+base, names = json.load(sys.stdin)
+s = parse_scalar_expr(base, names)
+print(json.dumps([s * s * s == s ** 3, (s * s) / s == s]))
+"""
+
+
+def _run_with_timeout(script, payload):
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=json.dumps(payload),
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=30)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
 
 
 def _cube_base_value(pt):
@@ -426,18 +445,16 @@ class TestPowerCost:
                   for v in NAMES}
             if _cube_base_value(pt):
                 pts.append(pt)
-        src = Path(__file__).resolve().parent.parent / "src"
-        done = subprocess.run(
-            [sys.executable, "-c", _POWER_SCRIPT],
-            input=json.dumps([_CUBE_BASE, NAMES,
-                              [{v: str(x) for v, x in pt.items()}
-                               for pt in pts]]),
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True, text=True, timeout=30)
-        assert done.returncode == 0, done.stderr
-        for pt, got in zip(pts, json.loads(done.stdout)):
+        got = _run_with_timeout(_POWER_SCRIPT, [
+            _CUBE_BASE, NAMES,
+            [{v: str(x) for v, x in pt.items()} for pt in pts]])
+        for pt, values in zip(pts, got):
             v = _cube_base_value(pt)
-            assert [Fraction(g) for g in got] == [v ** 3, v ** -3, v ** 3]
+            assert [Fraction(g) for g in values] == [v ** 3, v ** -3, v ** 3]
+
+    def test_products_and_quotients_of_the_same_scalar(self):
+        assert _run_with_timeout(_PRODUCT_SCRIPT, [_CUBE_BASE, NAMES]) == [
+            True, True]
 
 
 def _to_sympy(sympy, p):
