@@ -7,7 +7,7 @@ denominator).  No floating point anywhere.
 
 from fractions import Fraction
 
-from homalgebra import Scalar, arith, normalize
+from homalgebra import Scalar, normalize
 from homalgebra.scalars import Polynomial
 
 a, b = Scalar.var("a"), Scalar.var("b")
@@ -40,7 +40,7 @@ print("== specialization to rationals ==")
 defect = (a - b) * b
 print("(a-b)*b at a=1, b=1 :", defect.specialize({"a": 1, "b": 1}))
 print("(a-b)*b at a=2, b=1 :", defect.specialize({"a": 2, "b": 1}))
-print("a^2 - a  at a=3     :", arith("sub", a * a, a).specialize({"a": 3}))
+print("a^2 - a  at a=3     :", (a * a - a).specialize({"a": 3}))
 
 print()
 print("== denominators remember their nonzero assumptions ==")

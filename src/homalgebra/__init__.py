@@ -29,7 +29,7 @@ from .errors import (
     ValidationError,
     ZeroDenominator,
 )
-from .scalars import Monomial, Polynomial, Scalar, arith, normalize
+from .scalars import Monomial, Polynomial, Scalar, normalize
 from .algebra import (
     AlgebraSpec,
     CheckReport,

@@ -27,13 +27,7 @@ from .errors import (
     NotEndomorphism,
     SingularMap,
 )
-from .scalars import Scalar, name_key, nonzero_constraints
-
-
-def _as_scalar(value):
-    if isinstance(value, Scalar):
-        return value
-    return Scalar.from_fraction(value)
+from .scalars import Scalar, _coerce, name_key, nonzero_constraints
 
 
 class Vector:
@@ -42,7 +36,7 @@ class Vector:
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        self.coords = tuple(_as_scalar(c) for c in coords)
+        self.coords = tuple(_coerce(c) for c in coords)
 
     @classmethod
     def zero(cls, dim):
@@ -76,7 +70,7 @@ class Vector:
         return Vector([-a for a in self.coords])
 
     def scale(self, scalar):
-        scalar = _as_scalar(scalar)
+        scalar = _coerce(scalar)
         return Vector([scalar * a for a in self.coords])
 
     def is_zero(self):
@@ -115,7 +109,7 @@ class LinMap:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(_as_scalar(x) for x in row) for row in rows)
+        self.rows = tuple(tuple(_coerce(x) for x in row) for row in rows)
         n = len(self.rows)
         if any(len(row) != n for row in self.rows):
             raise DimensionMismatch("linear map matrix must be square")
@@ -252,13 +246,6 @@ class CheckReport:
     def holds(self):
         return self.verdict != "fails"
 
-    def to_json(self):
-        return {
-            "verdict": self.verdict,
-            "witness": self.witness.to_json() if self.witness else None,
-            "assumptions": list(self.assumptions),
-        }
-
 
 def _verdict(assumptions):
     return "holds-under-assumptions" if assumptions else "holds"
@@ -305,7 +292,7 @@ class AlgebraSpec:
         seen = set()
         declared = {p.name for p in self.params}
         for i, j, k, c in mu:
-            c = _as_scalar(c)
+            c = _coerce(c)
             if c.is_zero():
                 continue
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):

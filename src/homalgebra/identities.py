@@ -275,7 +275,7 @@ def _find_specialization(value, bindings, A):
 
 @dataclass(frozen=True)
 class BuiltinIdentity:
-    """A named identity with its AST(s) and surface form.
+    """A named identity with its AST(s) and surface form(s).
 
     asts has a single element for plain identities; combination entries
     (noncommutative_hom_jordan) carry one AST per conjunct.  universal is
@@ -296,13 +296,6 @@ class BuiltinIdentity:
             raise ValueError("%r bundles %d identities; use .asts"
                              % (self.name, len(self.asts)))
         return self.asts[0]
-
-    @property
-    def surface(self):
-        if len(self.surfaces) != 1:
-            raise ValueError("%r bundles %d identities; use .surfaces"
-                             % (self.name, len(self.surfaces)))
-        return self.surfaces[0]
 
     @property
     def vars(self):

@@ -7,11 +7,16 @@ equality.  Canonical form: gcd(num, den) = 1 and den monic under the graded
 lexicographic monomial order (variables compared by a digit-aware name key,
 so a2 < a10).  Everything here is immutable and pure.
 
+Exactness has one gate: an operand, vector or matrix entry or structure
+constant that is not a Scalar goes through _coerce, where an int or a
+Fraction becomes a constant and anything else (a float, a Decimal, a str)
+raises TypeError.  A constant Scalar equals and hashes as its Fraction value.
+
 A polynomial holds each coefficient as a Python int when it is integral and
 as a Fraction otherwise, so the integer tables that make up most inputs are
 computed on ints; constant_value() and evaluate() still return Fractions.  A
 monomial keeps its variables as a name-sorted tuple with its degree and hash
-computed once.  The zero and one polynomials are shared constants.
+computed once.  The zero and one polynomials and Scalars are shared constants.
 
 A power takes no gcd: num^n and den^n stay coprime when num and den are, so
 s ** n is canonical by construction once its denominator is made monic.  A
@@ -81,14 +86,8 @@ class Monomial:
         return m
 
     @classmethod
-    def unit(cls):
-        return _ONE_MONO
-
-    @classmethod
     def var(cls, name, power=1):
-        if power > 0:
-            return cls._canonical(((name, power),), power)
-        return cls(((name, power),))
+        return cls._canonical(((name, power),), power)
 
     def is_unit(self):
         return not self.exps
@@ -524,14 +523,18 @@ class Scalar:
 
     @classmethod
     def zero(cls):
-        return cls._make(_ZERO, _ONE)
+        return _S_ZERO
 
     @classmethod
     def one(cls):
-        return cls._make(_ONE, _ONE)
+        return _S_ONE
 
     @classmethod
     def from_fraction(cls, value):
+        """The constant Scalar of an int or a Fraction; the one gate that
+        keeps inexact numbers (float, Decimal, str) out of the field."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError("cannot coerce %r to Scalar" % (value,))
         return cls._make(Polynomial.const(value), _ONE)
 
     @classmethod
@@ -548,20 +551,12 @@ class Scalar:
         return self.num.variables() | self.den.variables()
 
     def __add__(self, other):
-        other = _coerce(other)
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._make(self.num + other.num, self.den)
-        return normalize(self.num * other.den + other.num * self.den,
-                         self.den * other.den)
+        return _sum(self, _coerce(other), Polynomial.__add__)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._make(self.num - other.num, self.den)
-        return normalize(self.num * other.den - other.num * self.den,
-                         self.den * other.den)
+        return _sum(self, _coerce(other), Polynomial.__sub__)
 
     def __rsub__(self, other):
         return _coerce(other) - self
@@ -582,9 +577,7 @@ class Scalar:
         if other.is_zero():
             raise DivisionByZero("division by the zero scalar")
         # times other's reciprocal, its denominator made monic
-        inv = Fraction(1, other.num.leading_coeff())
-        return _product(self.num, self.den,
-                        other.den.scale(inv), other.num.scale(inv))
+        return _product(self.num, self.den, *_monic_pair(other.den, other.num))
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
@@ -600,17 +593,19 @@ class Scalar:
         for _ in range(n):
             out_num = out_num * num
             out_den = out_den * den
-        inv = Fraction(1, out_den.leading_coeff())
-        return Scalar._make(out_num.scale(inv), out_den.scale(inv))
+        return Scalar._make(*_monic_pair(out_num, out_den))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Scalar.from_fraction(other)
-        if not isinstance(other, Scalar):
+        try:
+            other = _coerce(other)
+        except TypeError:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        # a constant hashes as its Fraction value, as it compares equal to it
+        if self.den.is_one() and self.num.is_constant():
+            return hash(self.num.terms.get(_ONE_MONO, 0))
         return hash((self.num, self.den))
 
     def specialize(self, bindings):
@@ -646,12 +641,33 @@ class Scalar:
         return "Scalar(%s)" % self
 
 
+# shared and never mutated, like every Scalar
+_S_ZERO = Scalar._make(_ZERO, _ONE)
+_S_ONE = Scalar._make(_ONE, _ONE)
+
+
 def _coerce(value):
+    """value as a Scalar: a Scalar as it is, an int or Fraction as a
+    constant; anything else raises TypeError (in from_fraction)."""
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar.from_fraction(value)
-    raise TypeError("cannot coerce %r to Scalar" % (value,))
+    return Scalar.from_fraction(value)
+
+
+def _sum(x, y, op):
+    """x + y or x - y, as op is Polynomial.__add__ or Polynomial.__sub__."""
+    if x.den.is_one() and y.den.is_one():
+        return Scalar._make(op(x.num, y.num), _ONE)
+    return normalize(op(x.num * y.den, y.num * x.den), x.den * y.den)
+
+
+def _monic_pair(num, den):
+    """num and den divided by den's leading coefficient, so den is monic."""
+    lc = den.leading_coeff()
+    if lc == 1:
+        return num, den
+    inv = Fraction(1, lc)
+    return num.scale(inv), den.scale(inv)
 
 
 def normalize(num, den):
@@ -659,17 +675,13 @@ def normalize(num, den):
     if den.is_zero():
         raise ZeroDenominator("zero denominator polynomial")
     if num.is_zero():
-        return Scalar._make(_ZERO, _ONE)
+        return _S_ZERO
     if not den.is_one():
         g = poly_gcd(num, den)
         if not g.is_one():
             num = exact_div(num, g)
             den = exact_div(den, g)
-        lc = den.leading_coeff()
-        if lc != 1:
-            inv = Fraction(1, lc)
-            num = num.scale(inv)
-            den = den.scale(inv)
+        num, den = _monic_pair(num, den)
     return Scalar._make(num, den)
 
 
@@ -682,24 +694,11 @@ def _product(a, b, c, d):
     factors replace one gcd of the multiplied-out product.
     """
     if a.is_zero() or c.is_zero():
-        return Scalar._make(_ZERO, _ONE)
+        return _S_ZERO
     g1 = poly_gcd(a, d)
     g2 = poly_gcd(c, b)
     return Scalar._make(exact_div(a, g1) * exact_div(c, g2),
                         exact_div(b, g2) * exact_div(d, g1))
-
-
-def arith(kind, x, y):
-    """Field operation dispatch: kind is one of add, sub, mul, div."""
-    ops = {
-        "add": lambda: x + y,
-        "sub": lambda: x - y,
-        "mul": lambda: x * y,
-        "div": lambda: x / y,
-    }
-    if kind not in ops:
-        raise ValueError("unknown arithmetic kind %r" % kind)
-    return ops[kind]()
 
 
 def nonzero_constraints(poly):

@@ -3,12 +3,14 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homalgebra import catalog
-from homalgebra.algebra import mul
+from homalgebra.algebra import AlgebraSpec, LinMap, Param, mul
 from homalgebra.errors import ParseError, ValidationError
 from homalgebra.fileio import load, loads, save, saves
 from homalgebra.identities import builtin_names, check_builtin
+from homalgebra.scalars import Monomial, Polynomial, Scalar
 
 
 def test_save_load_roundtrip_every_catalog_entry(tmp_path):
@@ -119,3 +121,64 @@ def test_twist_name_collision_avoided():
     assert loaded.algebra.alpha == entry.algebra.alpha
     assert loaded.maps["alpha"] == other
     assert loaded.twist == "_alpha"
+
+
+# --- random round trips ----------------------------------------------------------
+#
+# Parametric tables whose parameter names exercise the digit-aware order
+# (a2 < a10, x_2 < x_10) and whose constants carry fractional coefficients
+# and denominators, with named maps, a twist and a unit.
+
+PARAM_NAMES = ("a2", "a10", "b", "x_2", "x_10")
+LABELS = ("e0", "u", "e10")
+
+
+def _polys(names):
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    exps = (st.dictionaries(st.sampled_from(names), st.integers(1, 2),
+                            max_size=2) if names else st.just({}))
+    return st.lists(st.tuples(coeff, exps), max_size=2).map(
+        lambda spec: Polynomial({Monomial(e): c for c, e in spec}))
+
+
+@st.composite
+def _scalars(draw, names):
+    num = draw(_polys(names))
+    den = draw(_polys(names).filter(lambda p: not p.is_zero()))
+    return Scalar(num, den)
+
+
+@st.composite
+def algebra_files(draw):
+    dim = draw(st.integers(1, len(LABELS)))
+    basis = LABELS[:dim]
+    params = draw(st.lists(st.sampled_from(PARAM_NAMES), unique=True,
+                           max_size=3))
+    params = [Param(name, draw(st.booleans())) for name in params]
+    scalars = _scalars(tuple(p.name for p in params))
+    index = st.integers(0, dim - 1)
+    mu = draw(st.dictionaries(st.tuples(index, index, index), scalars,
+                              min_size=1, max_size=4))
+    maps = draw(st.dictionaries(
+        st.sampled_from(("f", "alpha", "g2", "g10")),
+        st.lists(st.lists(scalars, min_size=dim, max_size=dim),
+                 min_size=dim, max_size=dim).map(LinMap),
+        max_size=2))
+    twist = draw(st.sampled_from((None,) + tuple(sorted(maps))))
+    unit = draw(st.one_of(st.none(), index))
+    algebra = AlgebraSpec("rand", dim, basis, params,
+                          [(i, j, k, c) for (i, j, k), c in mu.items()],
+                          alpha=maps[twist] if twist else None, unit=unit)
+    return algebra, maps, twist
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(drawn=algebra_files())
+def test_random_tables_round_trip(drawn):
+    algebra, maps, twist = drawn
+    text = saves(algebra, maps=maps, twist=twist)
+    loaded = loads(text)
+    assert loaded.algebra == algebra
+    assert loaded.maps == maps
+    assert loaded.twist == twist
+    assert saves(loaded.algebra, maps=loaded.maps, twist=loaded.twist) == text

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from homalgebra.algebra import AlgebraSpec, LinMap, Vector
 from homalgebra.errors import (
     DivisionByZero,
     SpecializedDenominatorZero,
@@ -25,7 +26,6 @@ from homalgebra.scalars import (
     Monomial,
     Polynomial,
     Scalar,
-    arith,
     exact_div,
     name_key,
     nonzero_constraints,
@@ -89,22 +89,22 @@ class TestNormalize:
 
 class TestArith:
     def test_additive_inverse(self):
-        assert arith("add", S("a"), -S("a")).is_zero()
+        assert (S("a") + -S("a")).is_zero()
 
     def test_power_law_and_specialize(self):
-        cube = arith("mul", S("a") * S("a"), S("a"))
+        cube = (S("a") * S("a")) * S("a")
         assert cube == S("a") ** 3
         assert cube.specialize({"a": Fraction(2)}) == 8
 
     def test_sub_gives_defect_polynomial(self):
-        d = arith("sub", S("a") * S("a"), S("a"))
+        d = S("a") * S("a") - S("a")
         assert str(d) == "a^2 - a"
         assert d.specialize({"a": Fraction(1)}) == 0
         assert d.specialize({"a": Fraction(3)}) == 6
 
     def test_div_by_zero(self):
         with pytest.raises(DivisionByZero):
-            arith("div", S("a"), Scalar.zero())
+            S("a") / Scalar.zero()
 
     def test_field_laws_random(self, rng):
         for _ in range(25):
@@ -195,6 +195,68 @@ class TestEquality:
                     except SpecializedDenominatorZero:
                         continue
                 assert found
+
+
+class TestConstantHash:
+    """A constant Scalar equals its number, so it must hash as it too."""
+
+    def test_set_and_dict_membership(self):
+        assert 1 in {Scalar.one()}
+        assert 0 in {Scalar.zero()}
+        assert Fraction(1, 2) in {Scalar.from_fraction(Fraction(1, 2))}
+        assert {Scalar.from_fraction(-3): "x"}[-3] == "x"
+        key = Scalar.from_fraction(Fraction(-7, 4))
+        assert {Fraction(-7, 4): "y"}[key] == "y"
+
+    @pytest.mark.parametrize("value", [0, 1, -5, 2 ** 70, Fraction(1, 2),
+                                       Fraction(-9, 7), Fraction(6, 3)])
+    def test_hash_matches_the_number(self, value):
+        for s in (Scalar.from_fraction(value),
+                  normalize(Polynomial.const(value) * P("a"), P("a"))):
+            assert s == value and value == s
+            assert hash(s) == hash(value) == hash(Fraction(value))
+
+    def test_equal_scalars_hash_equal(self, rng):
+        for _ in range(30):
+            x = random_scalar(rng)
+            g = random_nonzero_polynomial(rng, max_terms=2, max_degree=1)
+            y = normalize(x.num * g, x.den * g)
+            assert x == y and hash(x) == hash(y)
+
+
+# Everything that turns a number into a Scalar: each takes ints and
+# Fractions, and refuses the rest rather than storing a float's binary
+# expansion or parsing a string.
+_COERCIONS = {
+    "Vector": lambda x: Vector([1, x]),
+    "Vector.scale": lambda x: Vector([1, 2]).scale(x),
+    "LinMap": lambda x: LinMap([[1, 0], [x, 1]]),
+    "AlgebraSpec.mu": lambda x: AlgebraSpec("t", 1, ["e"], mu=[(0, 0, 0, x)]),
+    "Scalar.from_fraction": Scalar.from_fraction,
+    "Scalar + x": lambda x: Scalar.one() + x,
+}
+
+
+class TestExactnessGate:
+    @pytest.mark.parametrize("value", [0.1, "2/3"], ids=["float", "str"])
+    @pytest.mark.parametrize("make", list(_COERCIONS.values()),
+                             ids=list(_COERCIONS))
+    def test_inexact_numbers_are_refused(self, make, value):
+        with pytest.raises(TypeError, match="cannot coerce"):
+            make(value)
+
+    @pytest.mark.parametrize("value", [3, Fraction(2, 3)],
+                             ids=["int", "Fraction"])
+    @pytest.mark.parametrize("make", list(_COERCIONS.values()),
+                             ids=list(_COERCIONS))
+    def test_exact_numbers_are_taken(self, make, value):
+        make(value)
+
+    def test_foreign_types_compare_unequal(self):
+        assert Scalar.one() != 1.0
+        assert Scalar.from_fraction(Fraction(1, 10)) != 0.1
+        assert Scalar.zero() != "0"
+        assert Scalar.one().__eq__(1.0) is NotImplemented
 
 
 class TestGcdInternals:
@@ -341,6 +403,25 @@ class TestFractionOracle:
         for got, want in results:
             _assert_canonical(got)
             assert _value(got, pt) == want
+
+    @oracle
+    @given(x=scalar_specs(), n=coefficients, pt=points)
+    def test_numbers_on_the_left(self, x, n, pt):
+        xs, xv = _scalar_at(x, pt)
+        assume(xv is not None)
+        # an int draw is also checked as a Fraction, so both types go left
+        for m in (n, Fraction(n)):
+            results = [(m + xs, m + xv), (m - xs, m - xv), (m * xs, m * xv)]
+            if xv:
+                results.append((m / xs, m / xv))
+            for got, want in results:
+                assert isinstance(got, Scalar)
+                _assert_canonical(got)
+                assert _value(got, pt) == want
+            # a Scalar free of variables is its value; any other is no number
+            assert (xs == m) == (m == xs) == (not xs.variables() and xv == m)
+            const = Scalar(_poly([(m, {})]), _poly([(1, {})]))
+            assert const == m and m == const and hash(const) == hash(m)
 
     @oracle
     @given(x=scalar_specs(), n=st.integers(-4, 4), pt=points)
