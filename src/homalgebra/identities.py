@@ -63,7 +63,7 @@ from .parser import (
     identity_to_text,
     parse_identity,
 )
-from .scalars import Scalar
+from .scalars import Scalar, declare
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -166,14 +166,15 @@ def _monomial_profiles(node):
 def generic_element(A, var, taken=()):
     """Vector whose coordinates are fresh indeterminates for variable var."""
     avoid = set(A.param_names()) | set(taken)
-    coords = []
+    names = []
     for i in range(A.dim):
         name = "%s_%d" % (var, i + 1)
         while name in avoid:
             name = "g" + name
         avoid.add(name)
-        coords.append(Scalar.var(name))
-    return Vector(coords)
+        names.append(name)
+    declare(names)
+    return Vector([Scalar.var(name) for name in names])
 
 
 # --- checking -------------------------------------------------------------------------
@@ -233,7 +234,7 @@ def _basis_witness(A, ast, bindings, value):
             slot[name] = (p, i)
     at = min(tuple(i for _, i in sorted(slot[name] for name in m.variables()
                                         if name in slot))
-             for c in value.coords for m in c.num.terms)
+             for c in value.coords for m in c.num.monomials())
     point = {name: int(at[p] == i) for name, (p, i) in slot.items()}
     at_value = Vector([c.substitute(point) for c in value.coords])
     return _defect(tuple(A.basis[i] for i in at), A.basis, at_value)

@@ -7,16 +7,30 @@ equality.  Canonical form: gcd(num, den) = 1 and den monic under the graded
 lexicographic monomial order (variables compared by a digit-aware name key,
 so a2 < a10).  Everything here is immutable and pure.
 
-Exactness has one gate: an operand, vector or matrix entry or structure
-constant that is not a Scalar goes through _coerce, where an int or a
-Fraction becomes a constant and anything else (a float, a Decimal, a str)
-raises TypeError.  A constant Scalar equals and hashes as its Fraction value.
+Exactness has one gate, _exact: a number that enters a polynomial (a
+coefficient, a scale factor, a value bound by evaluate or substitute) or a
+Scalar (through _coerce: an operand, vector or matrix entry or structure
+constant) must be an int or a Fraction, and anything else (a float, a
+Decimal, a str) raises TypeError.  A constant Scalar equals and hashes as
+its Fraction value.
 
 A polynomial holds each coefficient as a Python int when it is integral and
 as a Fraction otherwise, so the integer tables that make up most inputs are
-computed on ints; constant_value() and evaluate() still return Fractions.  A
-monomial keeps its variables as a name-sorted tuple with its degree and hash
-computed once.  The zero and one polynomials and Scalars are shared constants.
+computed on ints; constant_value() and evaluate() still return Fractions.
+
+Monomials are packed ints.  The process keeps one variable order, sorted by
+name_key and only ever extended: each layout (_Layout) gives every name seen
+so far a field of `width` bits, the earliest name in the most significant
+field, with the total degree above all fields.  So a monomial product is
+one int addition, grlex comparison is int comparison, and divisibility is
+one subtraction checked against the guard bit at the top of each field.
+A polynomial records the layout it was packed in.  A new name or a degree
+that would overflow a field makes a newer layout (more names, or fields
+twice as wide); an operation between two layouts first re-packs the
+operand from the older one into the newer, and a constant, the key 0 in
+every layout, needs no re-packing.  Monomial is the public form of a
+monomial, built only where monomials enter or leave this module.  The zero
+and one polynomials and Scalars are shared constants.
 
 A power takes no gcd: num^n and den^n stay coprime when num and den are, so
 s ** n is canonical by construction once its denominator is made monic.  A
@@ -27,8 +41,9 @@ one gcd of the multiplied-out result; a sum still reduces by one gcd.
 from __future__ import annotations
 
 import re
+import threading
 from fractions import Fraction
-from functools import lru_cache, total_ordering
+from functools import total_ordering
 
 from .errors import (
     DivisionByZero,
@@ -40,7 +55,6 @@ from .errors import (
 _NAME_CHUNKS = re.compile(r"(\d+)")
 
 
-@lru_cache(maxsize=4096)
 def name_key(name):
     """Digit-aware sort key for variable names: 'a2' sorts before 'a10'."""
     parts = _NAME_CHUNKS.split(name)
@@ -53,132 +67,12 @@ def name_key(name):
     return tuple(key), name
 
 
-@total_ordering
-class Monomial:
-    """A product of variable powers; exponents are strictly positive.
-
-    exps is the name-sorted tuple of (variable, exponent); the degree and
-    the hash are computed once, at construction.  Ordered by graded lex:
-    total degree first, then variable-by-variable in name order (higher
-    power of an earlier variable wins).
-    """
-
-    __slots__ = ("exps", "degree", "_hash")
-
-    def __init__(self, exps=()):
-        items = [(v, e) for v, e in dict(exps).items() if e != 0]
-        if any(e < 0 for _, e in items):
-            raise ValueError("negative exponent in monomial")
-        items.sort(key=lambda ve: name_key(ve[0]))
-        exps = tuple(items)
-        self.exps = exps
-        self.degree = sum(e for _, e in exps)
-        self._hash = hash(exps)
-
-    @classmethod
-    def _canonical(cls, exps, degree):
-        """A monomial from a name-sorted tuple of positive exponents and
-        its degree, taken as they are."""
-        m = cls.__new__(cls)
-        m.exps = exps
-        m.degree = degree
-        m._hash = hash(exps)
-        return m
-
-    @classmethod
-    def var(cls, name, power=1):
-        return cls._canonical(((name, power),), power)
-
-    def is_unit(self):
-        return not self.exps
-
-    def variables(self):
-        return frozenset(v for v, _ in self.exps)
-
-    def __mul__(self, other):
-        a, b = self.exps, other.exps
-        if not b:
-            return self
-        if not a:
-            return other
-        # merge two name-sorted tuples
-        out = []
-        i = j = 0
-        na, nb = len(a), len(b)
-        while i < na and j < nb:
-            va, ea = a[i]
-            vb, eb = b[j]
-            if va == vb:
-                out.append((va, ea + eb))
-                i += 1
-                j += 1
-            elif name_key(va) < name_key(vb):
-                out.append(a[i])
-                i += 1
-            else:
-                out.append(b[j])
-                j += 1
-        return Monomial._canonical(tuple(out) + a[i:] + b[j:],
-                                   self.degree + other.degree)
-
-    def divides(self, other):
-        if self.degree > other.degree:
-            return False
-        d = dict(other.exps)
-        for v, e in self.exps:
-            if d.get(v, 0) < e:
-                return False
-        return True
-
-    def __floordiv__(self, other):
-        if not other.exps:
-            return self
-        merged = dict(self.exps)
-        for v, e in other.exps:
-            if merged.get(v, 0) < e:
-                raise ValueError("monomial division is not exact")
-            merged[v] -= e
-        # a subset of self's variables, still in name order
-        return Monomial._canonical(tuple((v, e) for v, e in merged.items() if e),
-                                   self.degree - other.degree)
-
-    def gcd(self, other):
-        d = dict(other.exps)
-        exps = tuple((v, min(e, d[v])) for v, e in self.exps if v in d)
-        return Monomial._canonical(exps, sum(e for _, e in exps))
-
-    def __eq__(self, other):
-        return isinstance(other, Monomial) and self.exps == other.exps
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        if self.degree != other.degree:
-            return self.degree < other.degree
-        # lex on the merged variable list, earlier variable's higher power
-        # wins; equal degrees mean a common prefix leaves nothing over
-        for (va, ea), (vb, eb) in zip(self.exps, other.exps):
-            if va != vb:
-                # the earlier variable is absent (power 0) from the other side
-                return name_key(vb) < name_key(va)
-            if ea != eb:
-                return ea < eb
-        return False
-
-    def __gt__(self, other):
-        return other.__lt__(self)
-
-    def __str__(self):
-        if not self.exps:
-            return "1"
-        return "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in self.exps)
-
-    def __repr__(self):
-        return "Monomial(%r)" % (self.exps,)
-
-
-_ONE_MONO = Monomial._canonical((), 0)
+def _exact(value):
+    """value as a coefficient, an int or a Fraction as Polynomial holds it
+    (see _q); anything else raises TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError("cannot coerce %r to an exact rational" % (value,))
+    return _q(value)
 
 
 def _q(c):
@@ -187,23 +81,206 @@ def _q(c):
     return c.numerator if c.denominator == 1 else c
 
 
-class Polynomial:
-    """Sparse multivariate polynomial over Q: a map monomial -> coefficient.
+# --- the variable order ----------------------------------------------------------
 
-    A coefficient is an int when it is integral and a Fraction otherwise
-    (see _q), so integer arithmetic stays on Python ints.
+
+class _Layout:
+    """One packing of monomials into ints; it never changes.
+
+    names are sorted by name_key.  Each owns a field of `width` bits, the
+    earliest name the most significant; the total degree sits above all
+    fields, from bit `top`.  Every key's degree is below `cap`, so no field
+    reaches its top bit, the guard (`guards` holds them all), and a key is
+    below `limit`.  `gen` grows with each layout the process makes.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("names", "shift", "width", "mask", "top", "low", "guards",
+                 "cap", "limit", "gen")
+
+    def __init__(self, names, width, gen):
+        n = len(names)
+        self.names = names
+        self.shift = {v: (n - 1 - i) * width for i, v in enumerate(names)}
+        self.width = width
+        self.mask = (1 << width) - 1
+        self.top = n * width
+        self.low = (1 << self.top) - 1
+        # one guard bit per field: the sum of 2^(k*width) for k < n, shifted
+        self.guards = (self.low // self.mask) << (width - 1)
+        self.cap = 1 << (width - 1)
+        self.limit = self.cap << self.top
+        self.gen = gen
+
+    def pack(self, exps, degree):
+        shift = self.shift
+        key = degree << self.top
+        for v, e in exps:
+            key += e << shift[v]
+        return key
+
+    def fields(self, key):
+        """The name-sorted (variable, exponent) pairs of a key, read off its
+        nonzero fields from the most significant down."""
+        w, names = self.width, self.names
+        last = len(names) - 1
+        k = key & self.low
+        out = []
+        while k:
+            s = (k.bit_length() - 1) // w * w
+            e = k >> s
+            out.append((names[last - s // w], e))
+            k ^= e << s
+        return tuple(out)
+
+    def gcd(self, a, b):
+        """The key of the largest monomial dividing the keys a and b."""
+        shift, mask = self.shift, self.mask
+        key = degree = 0
+        for v, e in self.fields(a):
+            s = shift[v]
+            e = min(e, (b >> s) & mask)
+            key += e << s
+            degree += e
+        return key + (degree << self.top)
+
+    def monomial(self, key):
+        return Monomial._canonical(self.fields(key), key >> self.top)
+
+
+_LOCK = threading.Lock()
+_NEWEST = _Layout((), 8, 0)
+
+
+def _newest(names=(), degree=0):
+    """The newest layout, first extended by names and widened to hold
+    monomials of the given degree if it does not already."""
+    global _NEWEST
+    layout = _NEWEST
+    shift = layout.shift
+    if degree < layout.cap and all(v in shift for v in names):
+        return layout
+    with _LOCK:
+        layout = _NEWEST
+        new = set(names).difference(layout.names)
+        width = layout.width
+        while degree >= 1 << (width - 1):
+            width *= 2
+        if new or width != layout.width:
+            layout = _NEWEST = _Layout(
+                tuple(sorted(new.union(layout.names), key=name_key)), width,
+                layout.gen + 1)
+    return layout
+
+
+def declare(names):
+    """Extend the variable order by all of names at once.  Names met one by
+    one make one layout each, and every polynomial built in between is
+    re-packed on its next operation; a caller that knows its names in
+    advance declares them first."""
+    _newest(names)
+
+
+def _repack(p, layout):
+    """p in layout, which is at least as new as p's own."""
+    old = p.ring
+    if old is layout:
+        return p
+    t = p.terms
+    if not t or (len(t) == 1 and 0 in t):
+        return _raw(t, layout)
+    pack, fields, top = layout.pack, old.fields, old.top
+    return _raw({pack(fields(k), k >> top): c for k, c in t.items()}, layout)
+
+
+def _common(p, q, degree=0):
+    """p and q re-packed into the newer of their layouts, or into the newest
+    one widened for the degree if that one is too narrow."""
+    layout = p.ring if p.ring.gen >= q.ring.gen else q.ring
+    if degree >= layout.cap:
+        layout = _newest(degree=degree)
+    return _repack(p, layout), _repack(q, layout)
+
+
+@total_ordering
+class Monomial:
+    """A product of variable powers; exponents are strictly positive.
+
+    The public form of a monomial: exps is the name-sorted tuple of
+    (variable, exponent) and degree the total degree.  Ordered by graded
+    lex: total degree first, then variable-by-variable in name order (higher
+    power of an earlier variable wins), which is the order of their packed
+    keys.
+    """
+
+    __slots__ = ("exps", "degree")
+
+    def __init__(self, exps=()):
+        items = [(v, e) for v, e in dict(exps).items() if e != 0]
+        if any(e < 0 for _, e in items):
+            raise ValueError("negative exponent in monomial")
+        items.sort(key=lambda ve: name_key(ve[0]))
+        self.exps = tuple(items)
+        self.degree = sum(e for _, e in items)
+
+    @classmethod
+    def _canonical(cls, exps, degree):
+        """A monomial from a name-sorted tuple of positive exponents and
+        its degree, taken as they are."""
+        m = cls.__new__(cls)
+        m.exps = exps
+        m.degree = degree
+        return m
+
+    def variables(self):
+        return frozenset(v for v, _ in self.exps)
+
+    def __eq__(self, other):
+        return isinstance(other, Monomial) and self.exps == other.exps
+
+    def __hash__(self):
+        return hash(self.exps)
+
+    def __lt__(self, other):
+        layout = _newest([v for v, _ in self.exps + other.exps],
+                         max(self.degree, other.degree))
+        return (layout.pack(self.exps, self.degree)
+                < layout.pack(other.exps, other.degree))
+
+    def __str__(self):
+        return _mono_str(self.exps)
+
+    def __repr__(self):
+        return "Monomial(%r)" % (self.exps,)
+
+
+def _mono_str(exps):
+    if not exps:
+        return "1"
+    return "*".join(v if e == 1 else "%s^%d" % (v, e) for v, e in exps)
+
+
+class Polynomial:
+    """Sparse multivariate polynomial over Q: a map from packed monomial
+    keys to coefficients, in the layout `ring`.
+
+    A coefficient is an int when it is integral and a Fraction otherwise
+    (see _q), so integer arithmetic stays on Python ints.  The constant
+    monomial is the key 0 in every layout.
+    """
+
+    __slots__ = ("terms", "ring")
 
     def __init__(self, terms=None):
+        """terms: {Monomial: int or Fraction}."""
+        items = [(m, _exact(c)) for m, c in terms.items()] if terms else []
+        layout = _newest([v for m, _ in items for v, _ in m.exps],
+                         max((m.degree for m, _ in items), default=0))
         clean = {}
-        if terms:
-            for m, c in terms.items():
-                c = _q(Fraction(c))
-                if c:
-                    clean[m] = c
+        for m, c in items:
+            if c:
+                clean[layout.pack(m.exps, m.degree)] = c
         self.terms = clean
+        self.ring = layout
 
     @classmethod
     def zero(cls):
@@ -211,47 +288,58 @@ class Polynomial:
 
     @classmethod
     def const(cls, value):
-        return cls({_ONE_MONO: value})
+        c = _exact(value)
+        return _raw({0: c} if c else {}, _NEWEST)
 
     @classmethod
     def var(cls, name):
-        return _raw({Monomial.var(name): 1})
+        layout = _newest((name,))
+        return _raw({(1 << layout.top) + (1 << layout.shift[name]): 1}, layout)
 
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
         t = self.terms
-        return len(t) == 1 and t.get(_ONE_MONO) == 1
+        return len(t) == 1 and t.get(0) == 1
 
     def is_constant(self):
         t = self.terms
-        return not t or (len(t) == 1 and _ONE_MONO in t)
+        return not t or (len(t) == 1 and 0 in t)
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(self.terms.get(_ONE_MONO, 0))
+        return Fraction(self.terms.get(0, 0))
 
     def variables(self):
-        out = set()
-        for m in self.terms:
-            out |= m.variables()
-        return frozenset(out)
+        bits = 0
+        for k in self.terms:
+            bits |= k
+        return frozenset(v for v, _ in self.ring.fields(bits))
+
+    def monomials(self):
+        """{Monomial: coefficient}, leading term first: the terms as read
+        outside this module."""
+        t, monomial = self.terms, self.ring.monomial
+        return {monomial(k): t[k] for k in sorted(t, reverse=True)}
 
     def leading_monomial(self):
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self.terms)
+        return self.ring.monomial(max(self.terms))
 
     def leading_coeff(self):
-        return self.terms[self.leading_monomial()]
+        t = self.terms
+        return t[max(t)]
 
     def __add__(self, other):
         if not other.terms:
             return self
         if not self.terms:
             return other
+        if other.ring is not self.ring:
+            self, other = _common(self, other)
         res = dict(self.terms)
         get = res.get
         for m, c in other.terms.items():
@@ -260,11 +348,13 @@ class Polynomial:
                 res[m] = s if s.__class__ is int else _q(s)
             else:
                 del res[m]
-        return _raw(res)
+        return _raw(res, self.ring)
 
     def __sub__(self, other):
         if not other.terms:
             return self
+        if other.ring is not self.ring:
+            self, other = _common(self, other)
         res = dict(self.terms)
         get = res.get
         for m, c in other.terms.items():
@@ -273,74 +363,92 @@ class Polynomial:
                 res[m] = s if s.__class__ is int else _q(s)
             else:
                 del res[m]
-        return _raw(res)
+        return _raw(res, self.ring)
 
     def __neg__(self):
-        return _raw({m: -c for m, c in self.terms.items()})
+        return _raw({m: -c for m, c in self.terms.items()}, self.ring)
 
     def __mul__(self, other):
+        mine, theirs = self.terms, other.terms
+        if not mine or not theirs:
+            return _ZERO
+        layout = self.ring
+        hi, their_hi = max(mine), max(theirs)
+        # the fields cannot carry, so hi + their_hi holds the product's degree
+        if other.ring is not layout or hi + their_hi >= layout.limit:
+            self, other = _common(self, other, (hi >> layout.top)
+                                  + (their_hi >> other.ring.top))
+            mine, theirs, layout = self.terms, other.terms, self.ring
         res = {}
         get = res.get
-        theirs = other.terms.items()
-        for m1, c1 in self.terms.items():
+        theirs = theirs.items()
+        for m1, c1 in mine.items():
             for m2, c2 in theirs:
-                m = m1 * m2
+                m = m1 + m2
                 s = get(m, 0) + c1 * c2
                 if s:
                     res[m] = s if s.__class__ is int else _q(s)
                 else:
                     del res[m]
-        return _raw(res)
+        return _raw(res, layout)
 
     def scale(self, factor):
-        factor = _q(Fraction(factor))
+        factor = _exact(factor)
         if not factor:
             return _ZERO
         if factor == 1:
             return self
-        return _raw({m: _q(c * factor) for m, c in self.terms.items()})
+        return _raw({m: _q(c * factor) for m, c in self.terms.items()},
+                    self.ring)
 
     def __eq__(self, other):
-        return isinstance(other, Polynomial) and self.terms == other.terms
+        if not isinstance(other, Polynomial):
+            return False
+        if other.ring is not self.ring:
+            self, other = _common(self, other)
+        return self.terms == other.terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self.terms.items(), key=lambda mc: mc[0].exps)))
+        fields = self.ring.fields
+        return hash(frozenset((fields(m), c) for m, c in self.terms.items()))
 
     def evaluate(self, bindings):
-        """Evaluate at a full assignment name -> Fraction."""
+        """Evaluate at a full assignment name -> int or Fraction."""
+        values = {v: _exact(x) for v, x in bindings.items()}
+        fields = self.ring.fields
         total = Fraction(0)
         for m, c in self.terms.items():
-            val = c
-            for v, e in m.exps:
-                if v not in bindings:
+            for v, e in fields(m):
+                if v not in values:
                     raise UnboundParameter("parameter %r is not bound" % v)
-                val *= Fraction(bindings[v]) ** e
-            total += val
+                c *= values[v] ** e
+            total += c
         return total
 
     def substitute(self, bindings):
         """Partially substitute some variables by rationals; keep the rest."""
-        values = {v: _q(Fraction(x)) for v, x in bindings.items()}
+        values = {v: _exact(x) for v, x in bindings.items()}
+        layout = self.ring
+        shift, top, fields = layout.shift, layout.top, layout.fields
         res = {}
         for m, c in self.terms.items():
-            kept = []
-            for v, e in m.exps:
+            for v, e in fields(m):
                 if v in values:
                     c *= values[v] ** e
-                else:
-                    kept.append((v, e))
+                    m -= (e << shift[v]) + (e << top)
             if c:
-                mono = Monomial._canonical(tuple(kept), sum(e for _, e in kept))
-                res[mono] = res.get(mono, 0) + c
-        return _raw({m: _q(c) for m, c in res.items() if c})
+                res[m] = res.get(m, 0) + c
+        return _raw({m: _q(c) for m, c in res.items() if c}, layout)
 
     def __str__(self):
-        if not self.terms:
+        t = self.terms
+        if not t:
             return "0"
+        fields = self.ring.fields
         parts = []
-        for m in sorted(self.terms, reverse=True):
-            c = self.terms[m]
-            body = _term_str(m, abs(c))
+        for m in sorted(t, reverse=True):
+            c = t[m]
+            body = _term_str(fields(m), abs(c))
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -351,23 +459,24 @@ class Polynomial:
         return "Polynomial(%s)" % self
 
 
-def _raw(terms):
+def _raw(terms, ring):
     p = Polynomial.__new__(Polynomial)
     p.terms = terms
+    p.ring = ring
     return p
 
 
 # shared and never mutated, like every Polynomial
-_ZERO = _raw({})
-_ONE = _raw({_ONE_MONO: 1})
+_ZERO = _raw({}, _NEWEST)
+_ONE = _raw({0: 1}, _NEWEST)
 
 
-def _term_str(mono, coeff):
-    if mono.is_unit():
+def _term_str(exps, coeff):
+    if not exps:
         return str(coeff)
     if coeff == 1:
-        return str(mono)
-    return "%s*%s" % (coeff, mono)
+        return _mono_str(exps)
+    return "%s*%s" % (coeff, _mono_str(exps))
 
 
 # --- multivariate gcd ---------------------------------------------------------
@@ -380,24 +489,27 @@ def _term_str(mono, coeff):
 
 def _as_univariate(p, x):
     """View p as a polynomial in x with Polynomial coefficients."""
+    layout = p.ring
+    s, top, mask = layout.shift[x], layout.top, layout.mask
     coeffs = {}
     for m, c in p.terms.items():
-        e = 0
-        rest = []
-        for v, ve in m.exps:
-            if v == x:
-                e = ve
-            else:
-                rest.append((v, ve))
+        e = (m >> s) & mask
         # distinct monomials of p stay distinct once x is split off
-        coeffs.setdefault(e, {})[Monomial._canonical(tuple(rest), m.degree - e)] = c
-    return {e: _raw(bucket) for e, bucket in coeffs.items()}
+        coeffs.setdefault(e, {})[m - (e << s) - (e << top)] = c
+    return {e: _raw(bucket, layout) for e, bucket in coeffs.items()}
 
 
 def _from_univariate(coeffs, x):
     out = _ZERO
     for e, poly in coeffs.items():
-        out = out + poly * _raw({Monomial.var(x, e) if e else _ONE_MONO: 1})
+        if e:
+            layout = poly.ring
+            if x not in layout.shift or e >= layout.cap:
+                layout = _newest((x,), e)
+            xe = _raw({(e << layout.top) + (e << layout.shift[x]): 1}, layout)
+        else:
+            xe = _ONE
+        out = out + poly * xe
     return out
 
 
@@ -411,20 +523,25 @@ def exact_div(p, d):
         raise ZeroDivisionError("polynomial division by zero")
     if d.is_one():
         return p
+    if p.ring is not d.ring:
+        p, d = _common(p, d)
+    layout = p.ring
+    guards = layout.guards
     quo = {}
     rem = p
-    dlm = d.leading_monomial()
+    dlm = max(d.terms)
     inv = _q(Fraction(1, d.terms[dlm]))
     while rem.terms:
-        rlm = rem.leading_monomial()
-        if not dlm.divides(rlm):
+        rlm = max(rem.terms)
+        # dlm divides rlm iff no field borrows past its guard bit
+        if ((rlm | guards) - dlm) & guards != guards:
             raise ValueError("division is not exact")
         # the leading monomial of rem falls strictly, so each qm is new
-        qm = rlm // dlm
+        qm = rlm - dlm
         qc = _q(rem.terms[rlm] * inv)
         quo[qm] = qc
-        rem = rem - d * _raw({qm: qc})
-    return _raw(quo)
+        rem = rem - d * _raw({qm: qc}, layout)
+    return _raw(quo, layout)
 
 
 def _pseudo_rem(a, b, x):
@@ -465,14 +582,23 @@ def poly_gcd(p, q):
         return _monic(p)
     if p.is_constant() or q.is_constant():
         return _ONE
+    if p.ring is not q.ring:
+        p, q = _common(p, q)
+    layout = p.ring
     # single-term operands: the gcd is the largest monomial dividing everything
     if len(p.terms) == 1 or len(q.terms) == 1:
         g = None
         for poly in (p, q):
             for m in poly.terms:
-                g = m if g is None else g.gcd(m)
-        return _raw({g: 1})
-    x = min(p.variables() | q.variables(), key=name_key)
+                g = m if g is None else layout.gcd(g, m)
+        return _raw({g: 1}, layout)
+    bits = 0
+    for m in p.terms:
+        bits |= m
+    for m in q.terms:
+        bits |= m
+    # the main variable is the earliest name in either
+    x = layout.fields(bits)[0][0]
     cont_p, a = _primitive(_as_univariate(p, x))
     cont_q, b = _primitive(_as_univariate(q, x))
     cont = poly_gcd(cont_p, cont_q)
@@ -531,10 +657,8 @@ class Scalar:
 
     @classmethod
     def from_fraction(cls, value):
-        """The constant Scalar of an int or a Fraction; the one gate that
-        keeps inexact numbers (float, Decimal, str) out of the field."""
-        if not isinstance(value, (int, Fraction)):
-            raise TypeError("cannot coerce %r to Scalar" % (value,))
+        """The constant Scalar of an int or a Fraction; anything else
+        (float, Decimal, str) raises TypeError (see _exact)."""
         return cls._make(Polynomial.const(value), _ONE)
 
     @classmethod
@@ -605,7 +729,7 @@ class Scalar:
     def __hash__(self):
         # a constant hashes as its Fraction value, as it compares equal to it
         if self.den.is_one() and self.num.is_constant():
-            return hash(self.num.terms.get(_ONE_MONO, 0))
+            return hash(self.num.terms.get(0, 0))
         return hash((self.num, self.den))
 
     def specialize(self, bindings):
@@ -648,7 +772,7 @@ _S_ONE = Scalar._make(_ONE, _ONE)
 
 def _coerce(value):
     """value as a Scalar: a Scalar as it is, an int or Fraction as a
-    constant; anything else raises TypeError (in from_fraction)."""
+    constant; anything else raises TypeError (in _exact)."""
     if isinstance(value, Scalar):
         return value
     return Scalar.from_fraction(value)
@@ -706,6 +830,6 @@ def nonzero_constraints(poly):
     if poly.is_one() or poly.is_zero() or poly.is_constant():
         return ()
     if len(poly.terms) == 1:
-        mono = next(iter(poly.terms))
-        return tuple("%s != 0" % v for v in sorted(mono.variables(), key=name_key))
+        (key,) = poly.terms
+        return tuple("%s != 0" % v for v, _ in poly.ring.fields(key))
     return ("(%s) != 0" % poly,)

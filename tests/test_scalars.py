@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from functools import cmp_to_key
 from math import prod
@@ -32,6 +33,7 @@ from homalgebra.scalars import (
     normalize,
     poly_gcd,
 )
+from homalgebra import scalars
 from homalgebra.parser import parse_scalar_expr
 
 from conftest import random_point, random_polynomial, random_nonzero_polynomial, random_scalar
@@ -224,9 +226,10 @@ class TestConstantHash:
             assert x == y and hash(x) == hash(y)
 
 
-# Everything that turns a number into a Scalar: each takes ints and
-# Fractions, and refuses the rest rather than storing a float's binary
-# expansion or parsing a string.
+# Everything that turns a number into a Scalar, or below the Scalar layer
+# into a polynomial (a coefficient, a scale factor, a bound value): each
+# takes ints and Fractions, and refuses the rest rather than storing a
+# float's binary expansion or parsing a string.
 _COERCIONS = {
     "Vector": lambda x: Vector([1, x]),
     "Vector.scale": lambda x: Vector([1, 2]).scale(x),
@@ -234,6 +237,15 @@ _COERCIONS = {
     "AlgebraSpec.mu": lambda x: AlgebraSpec("t", 1, ["e"], mu=[(0, 0, 0, x)]),
     "Scalar.from_fraction": Scalar.from_fraction,
     "Scalar + x": lambda x: Scalar.one() + x,
+    "Polynomial": lambda x: Polynomial({Monomial({"a": 1}): x}),
+    "Polynomial.const": Polynomial.const,
+    "Scalar(Polynomial.const)": lambda x: Scalar(Polynomial.const(x)),
+    "Polynomial.scale": lambda x: Polynomial.var("a").scale(x),
+    "Polynomial.evaluate": lambda x: Polynomial.var("a").evaluate({"a": x}),
+    "Polynomial.substitute": lambda x: Polynomial.var("a").substitute(
+        {"a": x}),
+    "Scalar.specialize": lambda x: Scalar.var("a").specialize({"a": x}),
+    "Scalar.substitute": lambda x: Scalar.var("a").substitute({"a": x}),
 }
 
 
@@ -354,7 +366,7 @@ def _spec_value(spec, pt):
 
 def _poly_value(p, pt):
     return sum((Fraction(c) * prod(pt[v] ** e for v, e in m.exps)
-                for m, c in p.terms.items()), Fraction(0))
+                for m, c in p.monomials().items()), Fraction(0))
 
 
 def _value(s, pt):
@@ -474,6 +486,7 @@ _POWER_SCRIPT = """
 import json, sys
 from fractions import Fraction
 from homalgebra.fileio import loads
+from homalgebra import scalars
 from homalgebra.parser import parse_scalar_expr
 
 base, names, points = json.load(sys.stdin)
@@ -490,6 +503,7 @@ print(json.dumps(values))
 """
 _PRODUCT_SCRIPT = """
 import json, sys
+from homalgebra import scalars
 from homalgebra.parser import parse_scalar_expr
 
 base, names = json.load(sys.stdin)
@@ -541,7 +555,7 @@ class TestPowerCost:
 def _to_sympy(sympy, p):
     return sum((sympy.Rational(c.numerator, c.denominator)
                 * prod(sympy.Symbol(v) ** e for v, e in m.exps)
-                for m, c in p.terms.items()), sympy.Integer(0))
+                for m, c in p.monomials().items()), sympy.Integer(0))
 
 
 def _assert_gcd_matches_sympy(sympy, p, q):
@@ -613,8 +627,9 @@ def _reference_cmp(m1, m2):
 
 def _reference_str(p):
     parts = []
-    for m in sorted(p.terms, key=cmp_to_key(_reference_cmp), reverse=True):
-        c = Fraction(p.terms[m])
+    terms = p.monomials()
+    for m in sorted(terms, key=cmp_to_key(_reference_cmp), reverse=True):
+        c = Fraction(terms[m])
         body = (str(abs(c)) if not m.exps
                 else str(m) if abs(c) == 1 else "%s*%s" % (abs(c), m))
         sign = ("" if c > 0 else "-") if not parts else (" + " if c > 0 else " - ")
@@ -634,7 +649,8 @@ class TestMonomialOrder:
         assert (m1 < m2) == _reference_lt(m1, m2)
         assert (m1 > m2) == _reference_lt(m2, m1)
         assert (m1 <= m2) == (not _reference_lt(m2, m1))
-        assert (m1 * m2).exps == Monomial(
+        product = Polynomial({m1: 1}) * Polynomial({m2: 1})
+        assert product.leading_monomial().exps == Monomial(
             {v: dict(m1.exps).get(v, 0) + dict(m2.exps).get(v, 0)
              for v in dict(m1.exps) | dict(m2.exps)}).exps
 
@@ -643,5 +659,151 @@ class TestMonomialOrder:
            cs=st.lists(coefficients.filter(bool), min_size=8, max_size=8))
     def test_sorted_terms_and_str_unchanged(self, ms, cs):
         p = Polynomial(dict(zip(ms, cs)))
-        assert sorted(p.terms) == sorted(p.terms, key=cmp_to_key(_reference_cmp))
+        terms = p.monomials()
+        assert sorted(terms) == sorted(terms, key=cmp_to_key(_reference_cmp))
+        # the packed keys give the leading term and the printed order
+        assert list(terms) == sorted(terms, key=cmp_to_key(_reference_cmp),
+                                     reverse=True)
+        if terms:
+            assert p.leading_monomial() == next(iter(terms))
         assert str(p) == _reference_str(p)
+
+
+# --- packed layout -------------------------------------------------------------------
+
+
+DIGIT_NAMES = ("a2", "a10", "b", "x_1", "x_2", "x_10", "gx_9", "gx_10")
+digit_monomials = st.dictionaries(st.sampled_from(DIGIT_NAMES),
+                                  st.integers(1, 3), max_size=4).map(Monomial)
+
+
+class TestPackedLayout:
+    @settings(oracle, max_examples=150)
+    @given(ms=st.lists(digit_monomials, min_size=1, max_size=8, unique=True),
+           cs=st.lists(coefficients.filter(bool), min_size=8, max_size=8))
+    def test_order_matches_reference(self, ms, cs):
+        p = Polynomial(dict(zip(ms, cs)))
+        terms = p.monomials()
+        want = sorted(ms, key=cmp_to_key(_reference_cmp), reverse=True)
+        assert list(terms) == want
+        assert p.leading_monomial() == want[0]
+        assert p.leading_coeff() == terms[want[0]]
+        assert str(p) == _reference_str(p)
+
+    @settings(oracle, max_examples=150)
+    @given(m1=digit_monomials, m2=digit_monomials)
+    def test_divisibility_matches_exponents(self, m1, m2):
+        mine, theirs = dict(m1.exps), dict(m2.exps)
+        num, den = Polynomial({m1: 3}), Polynomial({m2: 2})
+        if all(e <= mine.get(v, 0) for v, e in theirs.items()):
+            quotient = exact_div(num, den)
+            assert quotient.leading_monomial() == Monomial(
+                {v: e - theirs.get(v, 0) for v, e in mine.items()})
+            assert quotient * den == num
+        else:
+            with pytest.raises(ValueError, match="not exact"):
+                exact_div(num, den)
+
+    @pytest.mark.parametrize("new", ["lay_1", "lay_5", "lay_20"],
+                             ids=["before", "between", "after"])
+    def test_names_registered_later(self, new):
+        def build():
+            a, b = Polynomial.var("lay_2"), Polynomial.var("lay_10")
+            c = Polynomial({Monomial({"lay_2": 2, "lay_10": 1}): Fraction(3, 2),
+                            Monomial(): -1})
+            return [a + b, a * a - c, b * c + Polynomial.const(3)]
+
+        early = build()
+        assert new not in scalars._NEWEST.names
+        x = Polynomial.var(new)
+        late = build()
+        for e, l in zip(early, late):
+            assert e.ring is not l.ring   # packed before the new name
+            assert e == l and l == e and hash(e) == hash(l)
+            assert str(e) == str(l) and e.monomials() == l.monomials()
+            assert str(e * x) == str(l * x) and e * x == x * l
+        for (e1, l1), (e2, l2) in zip(zip(early, late), zip(late, early)):
+            # each pair mixes an early and a late operand, both ways round
+            assert str(e1 + e2) == str(l1 + l2) and e1 + e2 == l1 + l2
+            assert str(e1 - e2) == str(l1 - l2) and e1 - e2 == l1 - l2
+            assert str(e1 * e2) == str(l1 * l2)
+            assert hash(e1 * e2) == hash(l1 * l2)
+            assert exact_div(e1 * e2, l2) == l1 == exact_div(l1 * l2, e2)
+            quotient = Scalar(e1) / Scalar(e2)
+            assert quotient == Scalar(l1, l2) and hash(quotient) == hash(
+                Scalar(l1, l2))
+            assert str(quotient) == str(Scalar(l1) / Scalar(l2))
+
+    def test_concurrent_registration_loses_no_name(self):
+        # every thread registers its own names while summing them; a layout
+        # made from a stale newest one would drop another thread's names
+        names = [["thr%d_%d" % (t, i) for i in range(40)] for t in range(8)]
+        sums = [None] * len(names)
+
+        def work(t):
+            total = Polynomial.const(1)
+            for name in names[t]:
+                total = total + Polynomial.var(name)
+            sums[t] = total
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,))
+                       for t in range(len(names))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in threads)
+        newest = scalars._NEWEST.names
+        assert list(newest) == sorted(newest, key=name_key)
+        for mine, total in zip(names, sums):
+            assert set(mine) <= set(newest)
+            assert str(total) == " + ".join(
+                sorted(mine, key=name_key) + ["1"])
+
+
+# The layout widens its fields when a product's degree would overflow them,
+# so exponents meet no new limit: a^(32^7) is built by nested powers, and
+# polynomials packed before the widening still combine with those after.
+_NESTED_POWER = "((((((a^32)^32)^32)^32)^32)^32)^32*b + 1"
+_WIDENING_SCRIPT = """
+import json, sys
+from homalgebra import scalars
+from homalgebra.parser import parse_scalar_expr
+from homalgebra.scalars import Monomial, Polynomial, exact_div
+
+text, = json.load(sys.stdin)
+def build():
+    a, b = Polynomial.var("a"), Polynomial.var("b")
+    return [a * b + Polynomial.const(2), a * a - b,
+            Polynomial({Monomial({"a": 100, "b": 20}): 3})]
+early = build()
+s = parse_scalar_expr(text, ["a", "b"])
+late = build()
+big = Polynomial({Monomial({"a": 100}): 1}) * Polynomial(
+    {Monomial({"a": 100, "b": 1}): 1})
+print(json.dumps({
+    "strings": [str(s), str(s * s), str(s ** -2)],
+    "widened": early[0].ring.width < late[0].ring.width,
+    "same": all(e == l and hash(e) == hash(l) and str(e * l) == str(l * l)
+                and exact_div(e * l, e) == l for e, l in zip(early, late)),
+    "big": [[v, e] for v, e in big.leading_monomial().exps],
+}))
+"""
+
+
+class TestNoNewLimit:
+    def test_nested_powers_widen_the_layout(self):
+        got = _run_with_timeout(_WIDENING_SCRIPT, [_NESTED_POWER])
+        assert got == {
+            "strings": [
+                "a^34359738368*b + 1",
+                "a^68719476736*b^2 + 2*a^34359738368*b + 1",
+                "(1)/(a^68719476736*b^2 + 2*a^34359738368*b + 1)"],
+            "widened": True,
+            "same": True,
+            "big": [["a", 200], ["b", 1]]}
