@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from .algebra import AlgebraSpec, LinMap, Param
 from .errors import DivisionByZero, ParseError, ValidationError
 from .parser import parse_scalar_expr
-from .scalars import declare
 
 
 @dataclass
@@ -73,7 +72,6 @@ def loads(text, source="<string>"):
     param_names = [p.name for p in params]
     if len(set(param_names)) != len(param_names):
         raise ValidationError("%s: duplicate parameter declaration" % source)
-    declare(param_names)
 
     def resolve(label, where):
         if not isinstance(label, str) or label not in index:

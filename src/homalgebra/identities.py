@@ -35,7 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
+    AlgebraSpec,
     CheckReport,
+    LinMap,
     Vector,
     _collect_constraints,
     _defect,
@@ -63,7 +65,7 @@ from .parser import (
     identity_to_text,
     parse_identity,
 )
-from .scalars import Scalar, declare
+from .scalars import Scalar, shared_layout
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -165,16 +167,44 @@ def _monomial_profiles(node):
 
 def generic_element(A, var, taken=()):
     """Vector whose coordinates are fresh indeterminates for variable var."""
+    return Vector(Scalar.gens(_coordinate_names(A, [var], taken)))
+
+
+def _coordinate_names(A, variables, taken):
+    """dim fresh names for each of variables, in turn, that avoid A's
+    parameters, taken and every earlier name."""
     avoid = set(A.param_names()) | set(taken)
     names = []
-    for i in range(A.dim):
-        name = "%s_%d" % (var, i + 1)
-        while name in avoid:
-            name = "g" + name
-        avoid.add(name)
-        names.append(name)
-    declare(names)
-    return Vector([Scalar.var(name) for name in names])
+    for var in variables:
+        for i in range(A.dim):
+            name = "%s_%d" % (var, i + 1)
+            while name in avoid:
+                name = "g" + name
+            avoid.add(name)
+            names.append(name)
+    return names
+
+
+def _generic_elements(A, variables, taken, uses_alpha):
+    """A and {var: generic element} for each of variables (see
+    _coordinate_names).  The coordinates share one layout with A's structure
+    constants (and its twist map when uses_alpha), which the returned A
+    holds re-packed into it, so an evaluation never re-packs a key."""
+    names = _coordinate_names(A, variables, taken)
+    scalars = list(A.mu_scalars())
+    if uses_alpha:
+        scalars += A.alpha.scalars()
+    packed, coords = shared_layout(scalars, names)
+    if any(p is not s for p, s in zip(packed, scalars)):
+        mu = [(i, j, k, c) for (i, j, k, _), c in zip(A.mu, packed)]
+        alpha = A.alpha
+        if uses_alpha:
+            rest = packed[len(mu):]
+            alpha = LinMap([rest[r * A.dim:(r + 1) * A.dim]
+                            for r in range(A.dim)])
+        A = AlgebraSpec(A.name, A.dim, A.basis, A.params, mu, alpha, A.unit)
+    return A, {var: Vector(coords[n * A.dim:(n + 1) * A.dim])
+               for n, var in enumerate(variables)}
 
 
 # --- checking -------------------------------------------------------------------------
@@ -200,14 +230,9 @@ def check(A, ast, strategy="generic"):
                                              for n in nodes)
     assumptions = _collect_constraints(
         A.mu_scalars(), A.alpha.scalars() if uses_alpha else None, coeffs)
-    bindings = {}
     # generic coordinates must not capture a variable of a coefficient
     taken = set().union(*(c.variables() for c in coeffs))
-    for v in ast.vars:
-        vec = generic_element(A, v, taken)
-        for c in vec.coords:
-            taken |= c.variables()
-        bindings[v] = vec
+    A, bindings = _generic_elements(A, ast.vars, taken, uses_alpha)
     value = evaluate(A, ast, bindings)
     if value.is_zero():
         return CheckReport(_verdict(assumptions), None, assumptions)

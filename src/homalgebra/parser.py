@@ -250,7 +250,10 @@ class _Cursor:
 def parse_scalar_expr(text, params):
     """Parse a scalar expression over the declared parameter names."""
     cur = _Cursor(text)
-    declared = set(params)
+    # the declared names the expression uses, as variables in one layout
+    used = list(set(params).intersection(
+        t.text for t in cur.tokens if t.kind == "ident"))
+    declared = dict(zip(used, Scalar.gens(used))) if used else {}
     value = _scalar_expr(cur, declared)
     if cur.current.kind != "eof":
         cur.fail("end of input")
@@ -305,7 +308,7 @@ def _scalar_base(cur, declared):
                 tok.offset, tok.line, tok.column,
                 expected="declared parameter", found=tok.text)
         cur.advance()
-        return Scalar.var(tok.text)
+        return declared[tok.text]
     if tok.kind == "(":
         cur.advance()
         value = _scalar_expr(cur, declared)

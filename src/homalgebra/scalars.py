@@ -18,19 +18,24 @@ A polynomial holds each coefficient as a Python int when it is integral and
 as a Fraction otherwise, so the integer tables that make up most inputs are
 computed on ints; constant_value() and evaluate() still return Fractions.
 
-Monomials are packed ints.  The process keeps one variable order, sorted by
-name_key and only ever extended: each layout (_Layout) gives every name seen
-so far a field of `width` bits, the earliest name in the most significant
-field, with the total degree above all fields.  So a monomial product is
-one int addition, grlex comparison is int comparison, and divisibility is
-one subtraction checked against the guard bit at the top of each field.
-A polynomial records the layout it was packed in.  A new name or a degree
-that would overflow a field makes a newer layout (more names, or fields
-twice as wide); an operation between two layouts first re-packs the
-operand from the older one into the newer, and a constant, the key 0 in
-every layout, needs no re-packing.  Monomial is the public form of a
-monomial, built only where monomials enter or leave this module.  The zero
-and one polynomials and Scalars are shared constants.
+Monomials are packed ints.  Each polynomial records its layout (_Layout):
+the names its keys may use, sorted by name_key, each with a field of
+`width` bits, the earliest name in the most significant field, and the
+total degree above all fields.  So a monomial product is one int addition,
+grlex comparison is int comparison, and divisibility is one subtraction
+checked against the guard bit at the top of each field.  Layouts belong to
+polynomials, not to the process: an operation between two layouts works in
+one of them when it holds the names and degrees of both operands, and
+otherwise in a new layout over the union of their names; a product whose
+degree would overflow a field goes to fields twice as wide.  A constant is
+the key 0 in every layout and needs no re-packing, and a caller that knows
+its variables in advance puts them in one layout (Scalar.gens,
+shared_layout), so arithmetic among them never re-packs.  A layout whose
+keys would pass _PACK_BITS bits is wide (_Wide): its keys are tuples of
+only the variables a monomial uses, so a term's size follows its own
+variables, not the layout's.  Monomial is the public form of a monomial,
+built only where monomials enter or leave this module.  The zero and one
+polynomials and Scalars are shared constants.
 
 A power takes no gcd: num^n and den^n stay coprime when num and den are, so
 s ** n is canonical by construction once its denominator is made monic.  A
@@ -41,7 +46,6 @@ one gcd of the multiplied-out result; a sum still reduces by one gcd.
 from __future__ import annotations
 
 import re
-import threading
 from fractions import Fraction
 from functools import total_ordering
 
@@ -81,25 +85,30 @@ def _q(c):
     return c.numerator if c.denominator == 1 else c
 
 
-# --- the variable order ----------------------------------------------------------
+# --- layouts --------------------------------------------------------------------
+
+# the most bits a packed key may take; a layout that would need more is wide
+_PACK_BITS = 1024
+_INF = float("inf")
 
 
 class _Layout:
-    """One packing of monomials into ints; it never changes.
+    """One packing of monomials into ints over fixed names; it never changes.
 
     names are sorted by name_key.  Each owns a field of `width` bits, the
     earliest name the most significant; the total degree sits above all
     fields, from bit `top`.  Every key's degree is below `cap`, so no field
     reaches its top bit, the guard (`guards` holds them all), and a key is
-    below `limit`.  `gen` grows with each layout the process makes.
+    below `limit`.
     """
 
-    __slots__ = ("names", "shift", "width", "mask", "top", "low", "guards",
-                 "cap", "limit", "gen")
+    __slots__ = ("names", "nameset", "shift", "width", "mask", "top", "low",
+                 "guards", "cap", "limit")
 
-    def __init__(self, names, width, gen):
+    def __init__(self, names, width):
         n = len(names)
         self.names = names
+        self.nameset = frozenset(names)
         self.shift = {v: (n - 1 - i) * width for i, v in enumerate(names)}
         self.width = width
         self.mask = (1 << width) - 1
@@ -109,7 +118,6 @@ class _Layout:
         self.guards = (self.low // self.mask) << (width - 1)
         self.cap = 1 << (width - 1)
         self.limit = self.cap << self.top
-        self.gen = gen
 
     def pack(self, exps, degree):
         shift = self.shift
@@ -117,6 +125,12 @@ class _Layout:
         for v, e in exps:
             key += e << shift[v]
         return key
+
+    def power(self, v, e):
+        return (e << self.top) + (e << self.shift[v])
+
+    def degree(self, key):
+        return key >> self.top
 
     def fields(self, key):
         """The name-sorted (variable, exponent) pairs of a key, read off its
@@ -132,6 +146,24 @@ class _Layout:
             k ^= e << s
         return tuple(out)
 
+    def used(self, keys):
+        """The name-sorted variables that occur in any of keys."""
+        bits = 0
+        for k in keys:
+            bits |= k
+        return tuple(v for v, _ in self.fields(bits))
+
+    def divides(self, d, m):
+        # no field borrows past its guard bit
+        guards = self.guards
+        return ((m | guards) - d) & guards == guards
+
+    def split(self, key, v):
+        """(e, key / v^e) for the exponent e of v in key."""
+        s = self.shift[v]
+        e = (key >> s) & self.mask
+        return e, key - (e << s) - (e << self.top)
+
     def gcd(self, a, b):
         """The key of the largest monomial dividing the keys a and b."""
         shift, mask = self.shift, self.mask
@@ -144,60 +176,185 @@ class _Layout:
         return key + (degree << self.top)
 
     def monomial(self, key):
-        return Monomial._canonical(self.fields(key), key >> self.top)
+        return Monomial._canonical(self.fields(key), self.degree(key))
 
 
-_LOCK = threading.Lock()
-_NEWEST = _Layout((), 8, 0)
+class _Key(tuple):
+    """A monomial key of a wide layout: (degree, -r1, e1, -r2, e2, ...) for
+    the ranks r1 < r2 < ... of the variables it uses, so tuple order is
+    grlex order.  As in a packed layout, the constant monomial is the int 0
+    and the least key, + is the product and - the quotient by a divisor."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if other.__class__ is not _Key:
+            return self
+        out = [self[0] + other[0]]
+        i = j = 1
+        na, nb = len(self), len(other)
+        while i < na and j < nb:
+            ra, rb = self[i], other[j]
+            if ra == rb:
+                out += (ra, self[i + 1] + other[j + 1])
+                i += 2
+                j += 2
+            elif ra > rb:
+                out += self[i:i + 2]
+                i += 2
+            else:
+                out += other[j:j + 2]
+                j += 2
+        out += self[i:]
+        out += other[j:]
+        return _Key(out)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is not _Key:
+            return self
+        theirs = dict(zip(other[1::2], other[2::2]))
+        out = [self[0] - other[0]]
+        for i in range(1, len(self), 2):
+            e = self[i + 1] - theirs.get(self[i], 0)
+            if e:
+                out += (self[i], e)
+        return _Key(out) if out[0] else 0
+
+    def __lt__(self, other):
+        return other.__class__ is _Key and tuple.__lt__(self, other)
+
+    def __gt__(self, other):
+        return other.__class__ is not _Key or tuple.__gt__(self, other)
 
 
-def _newest(names=(), degree=0):
-    """The newest layout, first extended by names and widened to hold
-    monomials of the given degree if it does not already."""
-    global _NEWEST
-    layout = _NEWEST
-    shift = layout.shift
-    if degree < layout.cap and all(v in shift for v in names):
-        return layout
-    with _LOCK:
-        layout = _NEWEST
-        new = set(names).difference(layout.names)
-        width = layout.width
-        while degree >= 1 << (width - 1):
-            width *= 2
-        if new or width != layout.width:
-            layout = _NEWEST = _Layout(
-                tuple(sorted(new.union(layout.names), key=name_key)), width,
-                layout.gen + 1)
-    return layout
+class _Wide:
+    """A layout whose packed keys would take more than _PACK_BITS bits: its
+    keys are _Key tuples that hold only the variables a monomial uses, and
+    its degrees have no cap.  The same methods as _Layout."""
+
+    __slots__ = ("names", "nameset", "rank")
+    cap = _INF
+    limit = 0   # no product overflows
+
+    def __init__(self, names):
+        self.names = names
+        self.nameset = frozenset(names)
+        self.rank = {v: i for i, v in enumerate(names)}
+
+    def pack(self, exps, degree):
+        if not degree:
+            return 0
+        rank = self.rank
+        key = [degree]
+        for v, e in exps:
+            key += (-rank[v], e)
+        return _Key(key)
+
+    def power(self, v, e):
+        return _Key((e, -self.rank[v], e))
+
+    def degree(self, key):
+        return key[0] if key else 0
+
+    def fields(self, key):
+        names = self.names
+        return tuple((names[-key[i]], key[i + 1])
+                     for i in range(1, len(key), 2)) if key else ()
+
+    def used(self, keys):
+        ranks = set()
+        for k in keys:
+            if k:
+                ranks.update(k[1::2])
+        return tuple(self.names[-r] for r in sorted(ranks, reverse=True))
+
+    def divides(self, d, m):
+        if not d:
+            return True
+        mine = dict(zip(m[1::2], m[2::2])) if m else {}
+        return all(mine.get(r, 0) >= e for r, e in zip(d[1::2], d[2::2]))
+
+    def split(self, key, v):
+        r = -self.rank[v]
+        for i in range(1, len(key) if key else 0, 2):
+            if key[i] == r:
+                e = key[i + 1]
+                rest = key[1:i] + key[i + 2:]
+                return e, _Key((key[0] - e,) + rest) if rest else 0
+        return 0, key
+
+    def gcd(self, a, b):
+        if not a or not b:
+            return 0
+        theirs = dict(zip(b[1::2], b[2::2]))
+        key = [0]
+        for r, e in zip(a[1::2], a[2::2]):
+            e = min(e, theirs.get(r, 0))
+            if e:
+                key += (r, e)
+                key[0] += e
+        return _Key(key) if key[0] else 0
+
+    def monomial(self, key):
+        return Monomial._canonical(self.fields(key), self.degree(key))
 
 
-def declare(names):
-    """Extend the variable order by all of names at once.  Names met one by
-    one make one layout each, and every polynomial built in between is
-    re-packed on its next operation; a caller that knows its names in
-    advance declares them first."""
-    _newest(names)
+def _layout(names, degree=0):
+    """A layout over names (sorted by name_key) whose keys reach degree:
+    fields of 8 bits, doubled until they hold it, or wide if the packed key
+    would pass _PACK_BITS bits."""
+    width = 8
+    while degree >= 1 << (width - 1):
+        width *= 2
+    if (len(names) + 1) * width > _PACK_BITS:
+        return _Wide(names)
+    return _Layout(names, width)
+
+
+_EMPTY = _Layout((), 8)
+
+
+def _is_const(t):
+    return not t or (len(t) == 1 and 0 in t)
+
+
+def _degree(p):
+    return p.ring.degree(max(p.terms)) if p.terms else 0
 
 
 def _repack(p, layout):
-    """p in layout, which is at least as new as p's own."""
-    old = p.ring
+    """p in layout, which holds p's names and degrees."""
+    old, t = p.ring, p.terms
     if old is layout:
         return p
-    t = p.terms
-    if not t or (len(t) == 1 and 0 in t):
+    if _is_const(t) or (old.names == layout.names and old.cap == layout.cap):
+        # the same keys
         return _raw(t, layout)
-    pack, fields, top = layout.pack, old.fields, old.top
-    return _raw({pack(fields(k), k >> top): c for k, c in t.items()}, layout)
+    pack, fields, degree = layout.pack, old.fields, old.degree
+    return _raw({pack(fields(k), degree(k)): c for k, c in t.items()}, layout)
 
 
-def _common(p, q, degree=0):
-    """p and q re-packed into the newer of their layouts, or into the newest
-    one widened for the degree if that one is too narrow."""
-    layout = p.ring if p.ring.gen >= q.ring.gen else q.ring
-    if degree >= layout.cap:
-        layout = _newest(degree=degree)
+def _common(p, q, product=False):
+    """p and q in one layout that holds the names and degrees of both, and
+    of their product if product is set: the layout of one of them when it
+    does, else a new one over the union of their names.  A constant is the
+    key 0 in every layout, so it takes the other's layout as it is."""
+    a, b = p.ring, q.ring
+    if _is_const(q.terms):
+        return p, _raw(q.terms, a)
+    if _is_const(p.terms):
+        return _raw(p.terms, b), q
+    degree = _degree(p) + _degree(q) if product else 0
+    for layout, other in ((a, b), (b, a)):
+        if (degree < layout.cap and other.cap <= layout.cap
+                and other.nameset <= layout.nameset):
+            break
+    else:
+        names = tuple(sorted(a.nameset | b.nameset, key=name_key))
+        need = max(a.cap, b.cap, degree + 1)
+        layout = _Wide(names) if need == _INF else _layout(names, need - 1)
     return _repack(p, layout), _repack(q, layout)
 
 
@@ -208,8 +365,7 @@ class Monomial:
     The public form of a monomial: exps is the name-sorted tuple of
     (variable, exponent) and degree the total degree.  Ordered by graded
     lex: total degree first, then variable-by-variable in name order (higher
-    power of an earlier variable wins), which is the order of their packed
-    keys.
+    power of an earlier variable wins), which is the order of their keys.
     """
 
     __slots__ = ("exps", "degree")
@@ -241,10 +397,17 @@ class Monomial:
         return hash(self.exps)
 
     def __lt__(self, other):
-        layout = _newest([v for v, _ in self.exps + other.exps],
-                         max(self.degree, other.degree))
-        return (layout.pack(self.exps, self.degree)
-                < layout.pack(other.exps, other.degree))
+        if self.degree != other.degree:
+            return self.degree < other.degree
+        # lex on the merged variable list, earlier variable's higher power
+        # wins; equal degrees mean a common prefix leaves nothing over
+        for (va, ea), (vb, eb) in zip(self.exps, other.exps):
+            if va != vb:
+                # the earlier variable is absent (power 0) from the other side
+                return name_key(vb) < name_key(va)
+            if ea != eb:
+                return ea < eb
+        return False
 
     def __str__(self):
         return _mono_str(self.exps)
@@ -260,8 +423,8 @@ def _mono_str(exps):
 
 
 class Polynomial:
-    """Sparse multivariate polynomial over Q: a map from packed monomial
-    keys to coefficients, in the layout `ring`.
+    """Sparse multivariate polynomial over Q: a map from monomial keys to
+    coefficients, in the layout `ring`, which holds every name they use.
 
     A coefficient is an int when it is integral and a Fraction otherwise
     (see _q), so integer arithmetic stays on Python ints.  The constant
@@ -273,8 +436,10 @@ class Polynomial:
     def __init__(self, terms=None):
         """terms: {Monomial: int or Fraction}."""
         items = [(m, _exact(c)) for m, c in terms.items()] if terms else []
-        layout = _newest([v for m, _ in items for v, _ in m.exps],
-                         max((m.degree for m, _ in items), default=0))
+        layout = _layout(
+            tuple(sorted({v for m, _ in items for v, _ in m.exps},
+                         key=name_key)),
+            max((m.degree for m, _ in items), default=0))
         clean = {}
         for m, c in items:
             if c:
@@ -289,12 +454,18 @@ class Polynomial:
     @classmethod
     def const(cls, value):
         c = _exact(value)
-        return _raw({0: c} if c else {}, _NEWEST)
+        return _raw({0: c} if c else {}, _EMPTY)
 
     @classmethod
     def var(cls, name):
-        layout = _newest((name,))
-        return _raw({(1 << layout.top) + (1 << layout.shift[name]): 1}, layout)
+        return cls.gens([name])[0]
+
+    @classmethod
+    def gens(cls, names):
+        """The variables names, all in one layout, so that arithmetic among
+        them never re-packs a key."""
+        order = sorted(set(names), key=name_key) if len(names) > 1 else names
+        return _gens(_layout(tuple(order)), names)
 
     def is_zero(self):
         return not self.terms
@@ -313,10 +484,7 @@ class Polynomial:
         return Fraction(self.terms.get(0, 0))
 
     def variables(self):
-        bits = 0
-        for k in self.terms:
-            bits |= k
-        return frozenset(v for v, _ in self.ring.fields(bits))
+        return frozenset(self.ring.used(self.terms))
 
     def monomials(self):
         """{Monomial: coefficient}, leading term first: the terms as read
@@ -373,11 +541,17 @@ class Polynomial:
         if not mine or not theirs:
             return _ZERO
         layout = self.ring
-        hi, their_hi = max(mine), max(theirs)
-        # the fields cannot carry, so hi + their_hi holds the product's degree
-        if other.ring is not layout or hi + their_hi >= layout.limit:
-            self, other = _common(self, other, (hi >> layout.top)
-                                  + (their_hi >> other.ring.top))
+        if other.ring is not layout:
+            # a constant is the key 0 in every layout
+            if _is_const(mine):
+                layout = other.ring
+            elif not _is_const(theirs):
+                self, other = _common(self, other, product=True)
+                mine, theirs, layout = self.terms, other.terms, self.ring
+        # the fields cannot carry, so the sum of the leading keys holds the
+        # product's degree
+        elif layout.limit and max(mine) + max(theirs) >= layout.limit:
+            self, other = _common(self, other, product=True)
             mine, theirs, layout = self.terms, other.terms, self.ring
         res = {}
         get = res.get
@@ -429,13 +603,13 @@ class Polynomial:
         """Partially substitute some variables by rationals; keep the rest."""
         values = {v: _exact(x) for v, x in bindings.items()}
         layout = self.ring
-        shift, top, fields = layout.shift, layout.top, layout.fields
+        fields, split = layout.fields, layout.split
         res = {}
         for m, c in self.terms.items():
             for v, e in fields(m):
                 if v in values:
                     c *= values[v] ** e
-                    m -= (e << shift[v]) + (e << top)
+                    m = split(m, v)[1]
             if c:
                 res[m] = res.get(m, 0) + c
         return _raw({m: _q(c) for m, c in res.items() if c}, layout)
@@ -466,9 +640,13 @@ def _raw(terms, ring):
     return p
 
 
+def _gens(layout, names):
+    return [_raw({layout.power(v, 1): 1}, layout) for v in names]
+
+
 # shared and never mutated, like every Polynomial
-_ZERO = _raw({}, _NEWEST)
-_ONE = _raw({0: 1}, _NEWEST)
+_ZERO = _raw({}, _EMPTY)
+_ONE = _raw({0: 1}, _EMPTY)
 
 
 def _term_str(exps, coeff):
@@ -490,12 +668,12 @@ def _term_str(exps, coeff):
 def _as_univariate(p, x):
     """View p as a polynomial in x with Polynomial coefficients."""
     layout = p.ring
-    s, top, mask = layout.shift[x], layout.top, layout.mask
+    split = layout.split
     coeffs = {}
     for m, c in p.terms.items():
-        e = (m >> s) & mask
+        e, rest = split(m, x)
         # distinct monomials of p stay distinct once x is split off
-        coeffs.setdefault(e, {})[m - (e << s) - (e << top)] = c
+        coeffs.setdefault(e, {})[rest] = c
     return {e: _raw(bucket, layout) for e, bucket in coeffs.items()}
 
 
@@ -504,9 +682,9 @@ def _from_univariate(coeffs, x):
     for e, poly in coeffs.items():
         if e:
             layout = poly.ring
-            if x not in layout.shift or e >= layout.cap:
-                layout = _newest((x,), e)
-            xe = _raw({(e << layout.top) + (e << layout.shift[x]): 1}, layout)
+            if x not in layout.nameset or e >= layout.cap:
+                layout = _layout((x,), e)
+            xe = _raw({layout.power(x, e): 1}, layout)
         else:
             xe = _ONE
         out = out + poly * xe
@@ -526,15 +704,14 @@ def exact_div(p, d):
     if p.ring is not d.ring:
         p, d = _common(p, d)
     layout = p.ring
-    guards = layout.guards
+    divides = layout.divides
     quo = {}
     rem = p
     dlm = max(d.terms)
     inv = _q(Fraction(1, d.terms[dlm]))
     while rem.terms:
         rlm = max(rem.terms)
-        # dlm divides rlm iff no field borrows past its guard bit
-        if ((rlm | guards) - dlm) & guards != guards:
+        if not divides(dlm, rlm):
             raise ValueError("division is not exact")
         # the leading monomial of rem falls strictly, so each qm is new
         qm = rlm - dlm
@@ -592,13 +769,8 @@ def poly_gcd(p, q):
             for m in poly.terms:
                 g = m if g is None else layout.gcd(g, m)
         return _raw({g: 1}, layout)
-    bits = 0
-    for m in p.terms:
-        bits |= m
-    for m in q.terms:
-        bits |= m
     # the main variable is the earliest name in either
-    x = layout.fields(bits)[0][0]
+    x = layout.used([*p.terms, *q.terms])[0]
     cont_p, a = _primitive(_as_univariate(p, x))
     cont_q, b = _primitive(_as_univariate(q, x))
     cont = poly_gcd(cont_p, cont_q)
@@ -664,6 +836,12 @@ class Scalar:
     @classmethod
     def var(cls, name):
         return cls._make(Polynomial.var(name), _ONE)
+
+    @classmethod
+    def gens(cls, names):
+        """The variables names, all in one layout (see Polynomial.gens)."""
+        return [cls._make(p, _ONE) for p in Polynomial.gens(names)]
+
 
     def is_zero(self):
         return self.num.is_zero()
@@ -768,6 +946,24 @@ class Scalar:
 # shared and never mutated, like every Scalar
 _S_ZERO = Scalar._make(_ZERO, _ONE)
 _S_ONE = Scalar._make(_ONE, _ONE)
+
+
+def shared_layout(values, names=()):
+    """(values, gens): the Scalars values re-packed into one layout that
+    holds their variables and names, and the variables names as Scalars in
+    that layout, so that arithmetic among all of them never re-packs a key.
+    A constant is the key 0 in every layout and is returned as it is.  For
+    a caller that knows its variables in advance, such as a check on
+    generic elements."""
+    polys = [p for s in values if not (s.den.is_one() and s.num.is_constant())
+             for p in (s.num, s.den)]
+    used = set(names).union(*(p.variables() for p in polys))
+    layout = _layout(tuple(sorted(used, key=name_key)),
+                     max(map(_degree, polys), default=0))
+    packed = [s if s.den.is_one() and s.num.is_constant() else
+              Scalar._make(_repack(s.num, layout), _repack(s.den, layout))
+              for s in values]
+    return packed, [Scalar._make(p, _ONE) for p in _gens(layout, names)]
 
 
 def _coerce(value):

@@ -4,15 +4,17 @@
 The inputs are a `dim` far larger than its basis list, a large basis
 (dim 30, whose identity map and certificates are quadratic and cubic in
 it), literals at the 1000-digit limit and one past it, and a file with
-2000 parameters, which makes the packed monomial layout 2000 fields wide
-and, through a 2000-variable monomial of degree 2000, widens its fields.
-Each input runs in its own subprocess, so its wide layout does not stay
-in the test process, under a timeout, so that a hang fails the test
-instead of stalling the suite.
+2000 parameters, whose 2000-variable monomial and 2000-term sum go to wide
+monomial layouts.  Each input runs in its own subprocess under a timeout,
+so that a hang fails the test instead of stalling the suite.  A last case
+squares a sum of 600 parameters (180 300 terms) under a cap on the
+child's address space, so that a monomial key that grows with the number
+of names in its layout, not in the monomial, fails it.
 """
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -59,8 +61,7 @@ INPUTS = {
         ["e", "f"], [], [{"i": "e", "j": "e", "value": {"e": _BIG + "9"}}],
         {"m": _identity(2)}), "refused"),
     # products stay single monomials, and the 2000-term sum in m only
-    # meets the zero products of f: nothing squares it (a twist by m would,
-    # through al^2, into 2 million terms)
+    # meets the zero products of f: nothing squares it (see the last test)
     "params_2000": (_doc(
         ["e", "f"], _PARAMS,
         [{"i": "e", "j": "e", "value": {"e": "*".join(_PARAMS)}}],
@@ -124,3 +125,31 @@ def test_every_subcommand_exits_two_or_finishes(name, tmp_path):
                 command, code, err)
             assert "Traceback" not in err, (command, err)
         assert seconds < BOUND, (command, seconds)
+
+
+# The square of a sum of n parameters has n(n+1)/2 terms of two variables
+# each.  A twist by diag(1, p1 + ... + pn) squares it through al^2 in the
+# default suite; with n = 600 that takes about 2 s and 110 MB, while keys
+# with a field for each of the 600 names need over 700 MB.
+ADDRESS_SPACE = 512 << 20
+_SUM_TERMS = 600
+
+
+def test_a_squared_sum_of_many_parameters_fits_in_memory(tmp_path):
+    params = ["p%d" % i for i in range(1, _SUM_TERMS + 1)]
+    doc = _doc(["e", "f"], params,
+               [{"i": "e", "j": "e", "value": {"e": "*".join(params)}}],
+               {"t": [["1", "0"], ["0", " + ".join(params)]]}, twist="t")
+    path = tmp_path / "twisted_by_a_sum.json"
+    path.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "homalgebra.cli", "verify", str(path)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=SUBPROCESS_TIMEOUT, preexec_fn=cap)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert "hom_jordan " in done.stdout and " holds " in done.stdout

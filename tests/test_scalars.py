@@ -7,7 +7,6 @@ import os
 import random
 import subprocess
 import sys
-import threading
 from fractions import Fraction
 from functools import cmp_to_key
 from math import prod
@@ -34,6 +33,7 @@ from homalgebra.scalars import (
     poly_gcd,
 )
 from homalgebra import scalars
+from homalgebra.fileio import loads
 from homalgebra.parser import parse_scalar_expr
 
 from conftest import random_point, random_polynomial, random_nonzero_polynomial, random_scalar
@@ -47,6 +47,21 @@ def S(name):
     return Scalar.var(name)
 
 
+@pytest.fixture(params=["packed", "wide"], scope="class")
+def key_form(request):
+    """Runs a class twice: with packed keys, and with every layout made
+    while it runs wide (a _PACK_BITS of 0), so the tuple keys of wide
+    layouts meet the same checks.  Only classes whose data come from the
+    seeded rng take it: a parametrized hypothesis test draws other
+    examples."""
+    saved = scalars._PACK_BITS
+    if request.param == "wide":
+        scalars._PACK_BITS = 0
+    yield request.param
+    scalars._PACK_BITS = saved
+
+
+@pytest.mark.usefixtures("key_form")
 class TestNormalize:
     def test_gcd_cancellation(self):
         # (a^2*b, a*b) reduces to (a, 1)
@@ -89,6 +104,7 @@ class TestNormalize:
                 assert s.den.leading_coeff() == 1
 
 
+@pytest.mark.usefixtures("key_form")
 class TestArith:
     def test_additive_inverse(self):
         assert (S("a") + -S("a")).is_zero()
@@ -129,6 +145,7 @@ class TestArith:
             assert x_messy * y == x * y
 
 
+@pytest.mark.usefixtures("key_form")
 class TestSpecialize:
     def test_kills_factor(self):
         x = (S("a") - S("b")) * S("b")
@@ -166,6 +183,7 @@ class TestSpecialize:
                 break
 
 
+@pytest.mark.usefixtures("key_form")
 class TestEquality:
     def test_cross_multiplication(self, rng):
         for _ in range(30):
@@ -271,6 +289,7 @@ class TestExactnessGate:
         assert Scalar.one().__eq__(1.0) is NotImplemented
 
 
+@pytest.mark.usefixtures("key_form")
 class TestGcdInternals:
     def test_gcd_divides_both(self, rng):
         for _ in range(25):
@@ -486,7 +505,6 @@ _POWER_SCRIPT = """
 import json, sys
 from fractions import Fraction
 from homalgebra.fileio import loads
-from homalgebra import scalars
 from homalgebra.parser import parse_scalar_expr
 
 base, names, points = json.load(sys.stdin)
@@ -503,7 +521,6 @@ print(json.dumps(values))
 """
 _PRODUCT_SCRIPT = """
 import json, sys
-from homalgebra import scalars
 from homalgebra.parser import parse_scalar_expr
 
 base, names = json.load(sys.stdin)
@@ -566,6 +583,7 @@ def _assert_gcd_matches_sympy(sympy, p, q):
     assert ours.monic() == theirs.monic()
 
 
+@pytest.mark.usefixtures("key_form")
 class TestSympyCrossCheck:
     def test_poly_gcd_matches_sympy(self, rng):
         sympy = pytest.importorskip("sympy")
@@ -669,7 +687,7 @@ class TestMonomialOrder:
         assert str(p) == _reference_str(p)
 
 
-# --- packed layout -------------------------------------------------------------------
+# --- layouts -------------------------------------------------------------------
 
 
 DIGIT_NAMES = ("a2", "a10", "b", "x_1", "x_2", "x_10", "gx_9", "gx_10")
@@ -677,120 +695,140 @@ digit_monomials = st.dictionaries(st.sampled_from(DIGIT_NAMES),
                                   st.integers(1, 3), max_size=4).map(Monomial)
 
 
-class TestPackedLayout:
+def _both_forms(terms):
+    """The polynomial of terms with packed keys, and with wide keys."""
+    saved = scalars._PACK_BITS
+    scalars._PACK_BITS = 0
+    try:
+        wide = Polynomial(terms)
+    finally:
+        scalars._PACK_BITS = saved
+    assert isinstance(wide.ring, scalars._Wide)
+    return Polynomial(terms), wide
+
+
+class TestLayouts:
     @settings(oracle, max_examples=150)
     @given(ms=st.lists(digit_monomials, min_size=1, max_size=8, unique=True),
            cs=st.lists(coefficients.filter(bool), min_size=8, max_size=8))
     def test_order_matches_reference(self, ms, cs):
-        p = Polynomial(dict(zip(ms, cs)))
-        terms = p.monomials()
         want = sorted(ms, key=cmp_to_key(_reference_cmp), reverse=True)
-        assert list(terms) == want
-        assert p.leading_monomial() == want[0]
-        assert p.leading_coeff() == terms[want[0]]
-        assert str(p) == _reference_str(p)
+        for p in _both_forms(dict(zip(ms, cs))):
+            terms = p.monomials()
+            assert list(terms) == want
+            assert p.leading_monomial() == want[0]
+            assert p.leading_coeff() == terms[want[0]]
+            assert str(p) == _reference_str(p)
 
     @settings(oracle, max_examples=150)
     @given(m1=digit_monomials, m2=digit_monomials)
     def test_divisibility_matches_exponents(self, m1, m2):
         mine, theirs = dict(m1.exps), dict(m2.exps)
-        num, den = Polynomial({m1: 3}), Polynomial({m2: 2})
-        if all(e <= mine.get(v, 0) for v, e in theirs.items()):
-            quotient = exact_div(num, den)
-            assert quotient.leading_monomial() == Monomial(
-                {v: e - theirs.get(v, 0) for v, e in mine.items()})
-            assert quotient * den == num
-        else:
-            with pytest.raises(ValueError, match="not exact"):
-                exact_div(num, den)
+        for num, den in zip(_both_forms({m1: 3}), _both_forms({m2: 2})):
+            if all(e <= mine.get(v, 0) for v, e in theirs.items()):
+                quotient = exact_div(num, den)
+                assert quotient.leading_monomial() == Monomial(
+                    {v: e - theirs.get(v, 0) for v, e in mine.items()})
+                assert quotient * den == num
+            else:
+                with pytest.raises(ValueError, match="not exact"):
+                    exact_div(num, den)
 
-    @pytest.mark.parametrize("new", ["lay_1", "lay_5", "lay_20"],
-                             ids=["before", "between", "after"])
-    def test_names_registered_later(self, new):
-        def build():
-            a, b = Polynomial.var("lay_2"), Polynomial.var("lay_10")
+    @pytest.mark.parametrize("extra", [["lay_1"], ["lay_5"], ["lay_20"],
+                                       ["lay_%d" % i for i in range(300)]],
+                             ids=["before", "between", "after", "wide"])
+    def test_layouts_combine(self, extra):
+        # the same polynomials built one name at a time, and in one layout
+        # that also holds names before, between or after theirs (or so many
+        # that it is wide), give equal results whichever layouts meet
+        def build(a, b):
             c = Polynomial({Monomial({"lay_2": 2, "lay_10": 1}): Fraction(3, 2),
                             Monomial(): -1})
             return [a + b, a * a - c, b * c + Polynomial.const(3)]
 
-        early = build()
-        assert new not in scalars._NEWEST.names
-        x = Polynomial.var(new)
-        late = build()
-        for e, l in zip(early, late):
-            assert e.ring is not l.ring   # packed before the new name
+        single = build(Polynomial.var("lay_2"), Polynomial.var("lay_10"))
+        a, b, *_ = Polynomial.gens(["lay_2", "lay_10"] + extra)
+        shared = build(a, b)
+        assert all(p.ring is not q.ring for p, q in zip(single, shared))
+        assert isinstance(shared[0].ring, scalars._Wide) == (len(extra) > 1)
+        for e, l in zip(single, shared):
             assert e == l and l == e and hash(e) == hash(l)
             assert str(e) == str(l) and e.monomials() == l.monomials()
-            assert str(e * x) == str(l * x) and e * x == x * l
-        for (e1, l1), (e2, l2) in zip(zip(early, late), zip(late, early)):
-            # each pair mixes an early and a late operand, both ways round
+            assert e.variables() == l.variables() <= {"lay_2", "lay_10"}
+        for (e1, l1), (e2, l2) in zip(zip(single, shared), zip(shared, single)):
+            # each pair mixes the two kinds of operand, both ways round
             assert str(e1 + e2) == str(l1 + l2) and e1 + e2 == l1 + l2
             assert str(e1 - e2) == str(l1 - l2) and e1 - e2 == l1 - l2
             assert str(e1 * e2) == str(l1 * l2)
             assert hash(e1 * e2) == hash(l1 * l2)
             assert exact_div(e1 * e2, l2) == l1 == exact_div(l1 * l2, e2)
+            assert poly_gcd(e1 * e2, l1) == poly_gcd(l1 * l2, e1)
             quotient = Scalar(e1) / Scalar(e2)
             assert quotient == Scalar(l1, l2) and hash(quotient) == hash(
                 Scalar(l1, l2))
             assert str(quotient) == str(Scalar(l1) / Scalar(l2))
 
-    def test_concurrent_registration_loses_no_name(self):
-        # every thread registers its own names while summing them; a layout
-        # made from a stale newest one would drop another thread's names
-        names = [["thr%d_%d" % (t, i) for i in range(40)] for t in range(8)]
-        sums = [None] * len(names)
+    def test_a_wide_file_leaves_later_layouts_small(self):
+        # layouts belong to polynomials: neither 2000 declared parameters
+        # nor a scalar over 2000 of them widens a later, small computation
+        names = ["p%d" % i for i in range(1, 2001)]
+        doc = {"name": "w", "dim": 1, "basis": ["e"],
+               "params": [{"name": v} for v in names],
+               "mu": [{"i": "e", "j": "e", "value": {"e": "p7*p3 + 1"}}]}
+        ((_, _, _, c),) = loads(json.dumps(doc)).algebra.mu
+        assert c.num.ring.names == ("p3", "p7")
+        total = Polynomial.zero()
+        for p in Polynomial.gens(names):
+            total = total + p
+        assert isinstance(total.ring, scalars._Wide)
+        s = (Scalar.var("a") + 1) ** 2 * Scalar.var("b")
+        assert s.num.ring.names == ("a", "b")
+        assert max(s.num.terms).bit_length() <= 3 * 8
 
-        def work(t):
-            total = Polynomial.const(1)
-            for name in names[t]:
-                total = total + Polynomial.var(name)
-            sums[t] = total
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+    def test_wide_keys_hold_only_the_variables_they_use(self):
+        # the square of a sum of 200 names: each key names at most two
+        # variables, and the result is the one packed keys give (quotients
+        # and gcds on wide keys meet the oracles of the key_form classes)
+        names = ["p%d" % i for i in range(1, 201)]
+        total = Polynomial.zero()
+        for p in Polynomial.gens(names):
+            total = total + p
+        square = total * total
+        assert isinstance(square.ring, scalars._Wide)
+        assert len(square.terms) == 200 * 201 // 2
+        assert max(len(k) for k in square.terms) == 5
+        saved = scalars._PACK_BITS
+        scalars._PACK_BITS = 1 << 20
         try:
-            threads = [threading.Thread(target=work, args=(t,))
-                       for t in range(len(names))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
+            packed = Polynomial(total.monomials())
+            assert isinstance(packed.ring, scalars._Layout)
+            packed_square = packed * packed
         finally:
-            sys.setswitchinterval(switch)
-        assert not any(thread.is_alive() for thread in threads)
-        newest = scalars._NEWEST.names
-        assert list(newest) == sorted(newest, key=name_key)
-        for mine, total in zip(names, sums):
-            assert set(mine) <= set(newest)
-            assert str(total) == " + ".join(
-                sorted(mine, key=name_key) + ["1"])
+            scalars._PACK_BITS = saved
+        assert square == packed_square and str(square) == str(packed_square)
 
 
-# The layout widens its fields when a product's degree would overflow them,
-# so exponents meet no new limit: a^(32^7) is built by nested powers, and
-# polynomials packed before the widening still combine with those after.
+# A product whose degree would overflow a field goes to fields twice as
+# wide, so exponents meet no new limit: a^(32^7) is built by nested powers,
+# and it still combines with polynomials in 8-bit fields.
 _NESTED_POWER = "((((((a^32)^32)^32)^32)^32)^32)^32*b + 1"
 _WIDENING_SCRIPT = """
 import json, sys
-from homalgebra import scalars
 from homalgebra.parser import parse_scalar_expr
 from homalgebra.scalars import Monomial, Polynomial, exact_div
 
 text, = json.load(sys.stdin)
-def build():
-    a, b = Polynomial.var("a"), Polynomial.var("b")
-    return [a * b + Polynomial.const(2), a * a - b,
-            Polynomial({Monomial({"a": 100, "b": 20}): 3})]
-early = build()
+a, b = Polynomial.var("a"), Polynomial.var("b")
+narrow = [a * b + Polynomial.const(2), a * a - b,
+          Polynomial({Monomial({"a": 100, "b": 20}): 3})]
 s = parse_scalar_expr(text, ["a", "b"])
-late = build()
 big = Polynomial({Monomial({"a": 100}): 1}) * Polynomial(
     {Monomial({"a": 100, "b": 1}): 1})
 print(json.dumps({
     "strings": [str(s), str(s * s), str(s ** -2)],
-    "widened": early[0].ring.width < late[0].ring.width,
-    "same": all(e == l and hash(e) == hash(l) and str(e * l) == str(l * l)
-                and exact_div(e * l, e) == l for e, l in zip(early, late)),
+    "widths": [narrow[0].ring.width, s.num.ring.width, big.ring.width],
+    "mixed": all(exact_div(p * s.num, s.num) == p == exact_div(s.num * p, s.num)
+                 and str(p * s.num) == str(s.num * p) for p in narrow),
     "big": [[v, e] for v, e in big.leading_monomial().exps],
 }))
 """
@@ -804,6 +842,6 @@ class TestNoNewLimit:
                 "a^34359738368*b + 1",
                 "a^68719476736*b^2 + 2*a^34359738368*b + 1",
                 "(1)/(a^68719476736*b^2 + 2*a^34359738368*b + 1)"],
-            "widened": True,
-            "same": True,
+            "widths": [8, 64, 16],
+            "mixed": True,
             "big": [["a", 200], ["b", 1]]}
