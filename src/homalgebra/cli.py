@@ -78,6 +78,9 @@ def main(argv=None):
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: the computation ran out of memory", file=sys.stderr)
+        return 2
 
 
 # built on the first main() call and reused by every later one in the

@@ -39,8 +39,9 @@ polynomials and Scalars are shared constants.
 
 A power takes no gcd: num^n and den^n stay coprime when num and den are, so
 s ** n is canonical by construction once its denominator is made monic.  A
-product or quotient takes the two cross gcds of its factors (Henrici), not
-one gcd of the multiplied-out result; a sum still reduces by one gcd.
+product or quotient takes the two cross gcds of its factors, and a sum the
+gcd of its denominators and at most one more with that (Henrici), never one
+gcd of the multiplied-out result; a sum with a polynomial operand takes none.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import total_ordering
+from heapq import heapify, heappop, heappush
+from operator import neg
 
 from .errors import (
     DivisionByZero,
@@ -103,7 +106,7 @@ class _Layout:
     """
 
     __slots__ = ("names", "nameset", "shift", "width", "mask", "top", "low",
-                 "guards", "cap", "limit")
+                 "ones", "guards", "cap", "limit")
 
     def __init__(self, names, width):
         n = len(names)
@@ -114,8 +117,10 @@ class _Layout:
         self.mask = (1 << width) - 1
         self.top = n * width
         self.low = (1 << self.top) - 1
-        # one guard bit per field: the sum of 2^(k*width) for k < n, shifted
-        self.guards = (self.low // self.mask) << (width - 1)
+        # a 1 at the bottom of each field: the sum of 2^(k*width) for k < n
+        self.ones = self.low // self.mask
+        # one guard bit per field, at its top
+        self.guards = self.ones << (width - 1)
         self.cap = 1 << (width - 1)
         self.limit = self.cap << self.top
 
@@ -153,6 +158,9 @@ class _Layout:
             bits |= k
         return tuple(v for v, _ in self.fields(bits))
 
+    # the heap order of exact_div: the reverse of key order
+    desc = staticmethod(neg)
+
     def divides(self, d, m):
         # no field borrows past its guard bit
         guards = self.guards
@@ -165,14 +173,16 @@ class _Layout:
         return e, key - (e << s) - (e << self.top)
 
     def gcd(self, a, b):
-        """The key of the largest monomial dividing the keys a and b."""
-        shift, mask = self.shift, self.mask
-        key = degree = 0
-        for v, e in self.fields(a):
-            s = shift[v]
-            e = min(e, (b >> s) & mask)
-            key += e << s
-            degree += e
+        """The key of the largest monomial dividing the keys a and b: each
+        field the lesser of the two, in a fixed number of int operations."""
+        width, mask = self.width, self.mask
+        # a field of a - b keeps its guard bit where a's exponent is >= b's
+        ge = ((a | self.guards) - b) & self.guards
+        keep = (ge >> (width - 1)) * mask
+        key = (b & keep) | (a & ~keep & self.low)
+        # times ones, the most significant field collects the sum of all
+        # fields: every partial sum is below cap, so nothing carries
+        degree = (key * self.ones >> (self.top - width)) & mask
         return key + (degree << self.top)
 
     def monomial(self, key):
@@ -269,6 +279,12 @@ class _Wide:
             if k:
                 ranks.update(k[1::2])
         return tuple(self.names[-r] for r in sorted(ranks, reverse=True))
+
+    @staticmethod
+    def desc(key):
+        # two keys of one degree differ before either ends, so negating
+        # every entry reverses tuple order; the constant, least, goes last
+        return tuple(-x for x in key) if key else (1,)
 
     def divides(self, d, m):
         if not d:
@@ -696,7 +712,12 @@ def _univ_degree(coeffs):
 
 
 def exact_div(p, d):
-    """Exact multivariate division; raises ValueError if d does not divide p."""
+    """Exact multivariate division; raises ValueError if d does not divide p.
+
+    One private remainder is changed in place, and a heap of its keys (a
+    key cancelled since it was pushed is skipped) gives each leading term,
+    so a division costs the terms it touches times a log, not a copy and a
+    scan of the remainder per quotient term."""
     if d.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if d.is_one():
@@ -704,20 +725,35 @@ def exact_div(p, d):
     if p.ring is not d.ring:
         p, d = _common(p, d)
     layout = p.ring
-    divides = layout.divides
-    quo = {}
-    rem = p
+    divides, desc = layout.divides, layout.desc
+    rem = dict(p.terms)
+    get = rem.get
+    heap = [(desc(m), m) for m in rem]
+    heapify(heap)
     dlm = max(d.terms)
     inv = _q(Fraction(1, d.terms[dlm]))
-    while rem.terms:
-        rlm = max(rem.terms)
+    tail = [(m, c) for m, c in d.terms.items() if m != dlm]
+    quo = {}
+    while rem:
+        rlm = heappop(heap)[1]
+        if rlm not in rem:
+            continue
         if not divides(dlm, rlm):
             raise ValueError("division is not exact")
-        # the leading monomial of rem falls strictly, so each qm is new
+        # every key added below is under rlm, so the leading key falls
+        # strictly and each qm is new
         qm = rlm - dlm
-        qc = _q(rem.terms[rlm] * inv)
+        qc = _q(rem.pop(rlm) * inv)
         quo[qm] = qc
-        rem = rem - d * _raw({qm: qc}, layout)
+        for m, c in tail:
+            m += qm
+            s = get(m, 0) - c * qc
+            if not s:
+                del rem[m]
+                continue
+            if m not in rem:
+                heappush(heap, (desc(m), m))
+            rem[m] = s if s.__class__ is int else _q(s)
     return _raw(quo, layout)
 
 
@@ -975,10 +1011,36 @@ def _coerce(value):
 
 
 def _sum(x, y, op):
-    """x + y or x - y, as op is Polynomial.__add__ or Polynomial.__sub__."""
+    """x + y or x - y, as op is Polynomial.__add__ or Polynomial.__sub__.
+
+    Henrici's sum of canonical a/b and c/d: only gcd(b, d) can cancel, and
+    only against the part of the numerator over it, so the result takes a
+    gcd of the denominators (none when one is 1) and at most one more gcd
+    with that, never one of the multiplied-out sum.
+    """
     if x.den.is_one() and y.den.is_one():
         return Scalar._make(op(x.num, y.num), _ONE)
-    return normalize(op(x.num * y.den, y.num * x.den), x.den * y.den)
+    a, b, c, d = x.num, x.den, y.num, y.den
+    # gcd(a*d + c, d) = gcd(c, d) = 1, so these are canonical as they stand
+    if b.is_one():
+        return Scalar._make(op(a * d, c), d)
+    if d.is_one():
+        return Scalar._make(op(a, c * b), b)
+    if b == d:
+        g = b
+        t = op(a, c)
+        bg = _ONE
+    else:
+        g = poly_gcd(b, d)
+        if g.is_one():
+            # coprime denominators: a product of monic factors
+            return Scalar._make(op(a * d, c * b), b * d)
+        bg = exact_div(b, g)
+        t = op(a * exact_div(d, g), c * bg)
+    if t.is_zero():
+        return _S_ZERO
+    g2 = poly_gcd(t, g)
+    return Scalar._make(exact_div(t, g2), bg * exact_div(d, g2))
 
 
 def _monic_pair(num, den):

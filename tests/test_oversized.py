@@ -9,7 +9,9 @@ monomial layouts.  Each input runs in its own subprocess under a timeout,
 so that a hang fails the test instead of stalling the suite.  A last case
 squares a sum of 600 parameters (180 300 terms) under a cap on the
 child's address space, so that a monomial key that grows with the number
-of names in its layout, not in the monomial, fails it.
+of names in its layout, not in the monomial, fails it; another squares a
+sum of 1500 parameters under a cap too small for it, and must exit 2 with
+an `error:` line, not a traceback.
 """
 
 import json
@@ -135,8 +137,10 @@ ADDRESS_SPACE = 512 << 20
 _SUM_TERMS = 600
 
 
-def test_a_squared_sum_of_many_parameters_fits_in_memory(tmp_path):
-    params = ["p%d" % i for i in range(1, _SUM_TERMS + 1)]
+def _verify_twisted_by_a_sum(tmp_path, terms, address_space):
+    """`homalg verify` in a child under an address-space cap, on a file
+    twisted by diag(1, p1 + ... + p<terms>)."""
+    params = ["p%d" % i for i in range(1, terms + 1)]
     doc = _doc(["e", "f"], params,
                [{"i": "e", "j": "e", "value": {"e": "*".join(params)}}],
                {"t": [["1", "0"], ["0", " + ".join(params)]]}, twist="t")
@@ -145,11 +149,27 @@ def test_a_squared_sum_of_many_parameters_fits_in_memory(tmp_path):
     src = Path(__file__).resolve().parent.parent / "src"
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
 
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "homalgebra.cli", "verify", str(path)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True, timeout=SUBPROCESS_TIMEOUT, preexec_fn=cap)
+
+
+def test_a_squared_sum_of_many_parameters_fits_in_memory(tmp_path):
+    done = _verify_twisted_by_a_sum(tmp_path, _SUM_TERMS, ADDRESS_SPACE)
     assert done.returncode == 0, done.stderr[-2000:]
     assert "hom_jordan " in done.stdout and " holds " in done.stdout
+
+
+# The square of a sum of 1500 parameters has 1 125 750 terms, far more
+# than 100 MB hold; a start-up of the command takes about 21 MB.  The
+# child runs out of memory within a few seconds.
+SMALL_ADDRESS_SPACE = 100 << 20
+
+
+def test_running_out_of_memory_exits_two(tmp_path):
+    done = _verify_twisted_by_a_sum(tmp_path, 1500, SMALL_ADDRESS_SPACE)
+    assert done.returncode == 2, done.stderr[-2000:]
+    assert done.stderr == "error: the computation ran out of memory\n"

@@ -318,6 +318,76 @@ class TestGcdInternals:
             assert exact_div(common, quotient_of_common).is_constant()
 
 
+def _random_den(rng):
+    while True:
+        d = random_nonzero_polynomial(rng, max_terms=2, max_degree=1)
+        if not d.is_constant():
+            return d
+
+
+def _den_case(b, d):
+    """Which case of Henrici's sum the denominators b and d take."""
+    if b.is_one() and d.is_one():
+        return "polynomial"
+    if b.is_one() or d.is_one():
+        return "one polynomial"
+    if b == d:
+        return "equal"
+    return "coprime" if poly_gcd(b, d).is_one() else "shared"
+
+
+def _summands(rng, case):
+    """Canonical x and y whose denominators fall in case.  In "cancelling",
+    x + y = w/h over x.den = y.den = g*h, so the gcd of the numerator with
+    the common denominator is not 1."""
+    one = Polynomial.const(1)
+    while True:
+        u, w = random_polynomial(rng), random_polynomial(rng)
+        g, h = _random_den(rng), _random_den(rng)
+        b, d = {"polynomial": (one, one),
+                "one polynomial": rng.choice([(one, g), (g, one)]),
+                "equal": (g, g), "coprime": (g, h),
+                "shared": (g * h, g * _random_den(rng)),
+                "cancelling": (g * h, g * h)}[case]
+        x = Scalar(u, b)
+        if case == "cancelling":
+            y = Scalar(g * w - u, d)
+            # nothing of g*h cancelled in x or y
+            if x.den == y.den == Scalar(one, b).den:
+                return x, y
+        else:
+            y = Scalar(w, d)
+            if _den_case(x.den, y.den) == case:
+                return x, y
+
+
+@pytest.mark.usefixtures("key_form")
+class TestHenriciSum:
+    # the sum of canonical a/b and c/d must be the canonical form of the
+    # multiplied-out (a*d + c*b)/(b*d), which takes one gcd of all of it
+    @pytest.mark.parametrize("case", ["polynomial", "one polynomial", "equal",
+                                      "coprime", "shared", "cancelling"])
+    def test_matches_normalize_of_the_cross_product(self, rng, case):
+        reduced = 0
+        for _ in range(20):
+            x, y = _summands(rng, case)
+            for got, op in ((x + y, Polynomial.__add__),
+                            (x - y, Polynomial.__sub__)):
+                want = normalize(op(x.num * y.den, y.num * x.den),
+                                 x.den * y.den)
+                assert got.num == want.num and got.den == want.den
+                assert str(got) == str(want)
+                lcm = exact_div(x.den * y.den, poly_gcd(x.den, y.den))
+                reduced += got.den != lcm
+            assert (x - x).is_zero() and (y - y).is_zero()
+        # only a common factor of the denominators can cancel, past their
+        # lcm; a cancelling x + y always does
+        if case in ("polynomial", "one polynomial", "coprime"):
+            assert reduced == 0
+        elif case == "cancelling":
+            assert reduced >= 20
+
+
 class TestConstraints:
     def test_monomial_denominator_splits(self):
         s = S("a4") / (S("a2") * S("a2") * S("a5"))
@@ -539,6 +609,19 @@ def _run_with_timeout(script, payload):
     return json.loads(done.stdout)
 
 
+_SUM_SCRIPT = """
+import json, sys
+from fractions import Fraction
+from homalgebra.parser import parse_scalar_expr
+
+base, names, points = json.load(sys.stdin)
+s = parse_scalar_expr(base, names)
+sums = [s ** 2 + s, s ** 2 - s]
+print(json.dumps([[str(r.specialize({v: Fraction(x) for v, x in pt.items()}))
+                   for r in sums] for pt in points]))
+"""
+
+
 def _cube_base_value(pt):
     a2, a10, b, x = (pt[v] for v in NAMES)
     den = (a2 ** 2 * b ** 2 * x ** 2 + Fraction(2, 15) * a2 * a10 * x ** 2
@@ -549,14 +632,18 @@ def _cube_base_value(pt):
             - Fraction(1, 3)) / den
 
 
+def _cube_base_points(rng):
+    pts = []
+    while len(pts) < 5:
+        pt = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for v in NAMES}
+        if _cube_base_value(pt):
+            pts.append(pt)
+    return pts
+
+
 class TestPowerCost:
     def test_cube_of_a_four_variable_scalar(self, rng):
-        pts = []
-        while len(pts) < 5:
-            pt = {v: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                  for v in NAMES}
-            if _cube_base_value(pt):
-                pts.append(pt)
+        pts = _cube_base_points(rng)
         got = _run_with_timeout(_POWER_SCRIPT, [
             _CUBE_BASE, NAMES,
             [{v: str(x) for v, x in pt.items()} for pt in pts]])
@@ -564,9 +651,42 @@ class TestPowerCost:
             v = _cube_base_value(pt)
             assert [Fraction(g) for g in values] == [v ** 3, v ** -3, v ** 3]
 
+    def test_a_square_plus_or_minus_the_scalar(self, rng):
+        # a sum takes the gcd of its denominators (Henrici), here den^2 and
+        # den, not one gcd of the multiplied-out sum, which took over 20 s
+        pts = _cube_base_points(rng)
+        got = _run_with_timeout(_SUM_SCRIPT, [
+            _CUBE_BASE, NAMES,
+            [{v: str(x) for v, x in pt.items()} for pt in pts]])
+        for pt, values in zip(pts, got):
+            v = _cube_base_value(pt)
+            assert [Fraction(g) for g in values] == [v ** 2 + v, v ** 2 - v]
+
     def test_products_and_quotients_of_the_same_scalar(self):
         assert _run_with_timeout(_PRODUCT_SCRIPT, [_CUBE_BASE, NAMES]) == [
             True, True]
+
+
+# Dividing the square of a sum of 600 names (180 300 terms) by the sum: a
+# division that copied and rescanned its remainder per quotient term took
+# about 50 s; one remainder changed in place, with a heap of its keys,
+# takes about 1.5 s (Python 3.11, 2 CPUs).
+_DIVISION_SCRIPT = """
+import json, sys
+from homalgebra.scalars import Polynomial, exact_div
+
+n, = json.load(sys.stdin)
+total = Polynomial.zero()
+for p in Polynomial.gens(["p%d" % i for i in range(1, n + 1)]):
+    total = total + p
+square = total * total
+print(json.dumps([len(square.terms), exact_div(square, total) == total]))
+"""
+
+
+class TestDivisionCost:
+    def test_the_square_of_a_wide_sum_by_the_sum(self):
+        assert _run_with_timeout(_DIVISION_SCRIPT, [600]) == [180300, True]
 
 
 def _to_sympy(sympy, p):
@@ -733,6 +853,30 @@ class TestLayouts:
             else:
                 with pytest.raises(ValueError, match="not exact"):
                     exact_div(num, den)
+
+    @pytest.mark.parametrize("width", [8, 16, 32, 64])
+    def test_gcd_is_the_fieldwise_min(self, rng, width):
+        names = ("g1", "g2", "g3", "g4", "g5")
+        for n in range(1, len(names) + 1):
+            layout = scalars._Layout(names[:n], width)
+            cap = layout.cap
+
+            def exponents():
+                # a degree below cap, often cap - 1, split at random cuts
+                total = rng.choice([cap - 1, rng.randrange(cap)])
+                cuts = sorted(rng.randrange(total + 1) for _ in range(n - 1))
+                return [hi - lo for lo, hi in zip([0] + cuts, cuts + [total])]
+
+            for _ in range(40):
+                ea, eb = exponents(), exponents()
+                if rng.random() < 0.2:
+                    eb = ea
+                want = [min(x, y) for x, y in zip(ea, eb)]
+                keys = [layout.pack(zip(layout.names, e), sum(e))
+                        for e in (ea, eb, want)]
+                got = layout.gcd(keys[0], keys[1])
+                assert got == keys[2] == layout.gcd(keys[1], keys[0])
+                assert layout.degree(got) == sum(want)
 
     @pytest.mark.parametrize("extra", [["lay_1"], ["lay_5"], ["lay_20"],
                                        ["lay_%d" % i for i in range(300)]],
