@@ -17,7 +17,6 @@ basis vector, or spanning pair), whose first nonzero member is the witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -27,6 +26,7 @@ from .errors import (
     NotEndomorphism,
     SingularMap,
 )
+from .record import Record
 from .scalars import Scalar, _coerce, name_key, nonzero_constraints
 
 
@@ -153,13 +153,14 @@ def apply_map(f, v):
     if f.dim != v.dim:
         raise DimensionMismatch("map dimension %d vs vector dimension %d"
                                 % (f.dim, v.dim))
+    support = [(j, c) for j, c in enumerate(v.coords) if not c.is_zero()]
     out = []
-    for i in range(f.dim):
+    for row in f.rows:
         acc = Scalar.zero()
-        for j in range(f.dim):
-            e = f.rows[i][j]
-            if not e.is_zero() and not v.coords[j].is_zero():
-                acc = acc + e * v.coords[j]
+        for j, c in support:
+            e = row[j]
+            if not e.is_zero():
+                acc = acc + e * c
         out.append(acc)
     return Vector(out)
 
@@ -204,21 +205,28 @@ def invert(f):
     return LinMap(inv)
 
 
-@dataclass(frozen=True)
-class Param:
-    name: str
-    nonzero: bool = False
+class Param(Record):
+    __slots__ = ("name", "nonzero")
+
+    def __init__(self, name, nonzero=False):
+        self.name = name
+        self.nonzero = nonzero
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Where a check failed and by how much."""
 
-    at: tuple = None            # offending basis labels, e.g. ("e1", "e2")
-    coordinate: str = None      # basis label of the first nonzero coordinate
-    residual: Scalar = None     # that coordinate's value
-    residual_vector: Vector = None
-    specialization: dict = None  # var name -> tuple of Fractions (generic checks)
+    __slots__ = ("at", "coordinate", "residual", "residual_vector",
+                 "specialization")
+
+    def __init__(self, at=None, coordinate=None, residual=None,
+                 residual_vector=None, specialization=None):
+        self.at = at                  # offending basis labels, e.g. ("e1", "e2")
+        self.coordinate = coordinate  # label of the first nonzero coordinate
+        self.residual = residual      # that coordinate's value
+        self.residual_vector = residual_vector
+        # var name -> tuple of Fractions (generic checks)
+        self.specialization = specialization
 
     def to_json(self):
         out = {}
@@ -236,11 +244,13 @@ class Witness:
         return out
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    verdict: str                      # holds | holds-under-assumptions | fails
-    witness: Witness = None
-    assumptions: tuple = ()
+class CheckReport(Record):
+    __slots__ = ("verdict", "witness", "assumptions")
+
+    def __init__(self, verdict, witness=None, assumptions=()):
+        self.verdict = verdict          # holds | holds-under-assumptions | fails
+        self.witness = witness
+        self.assumptions = assumptions
 
     @property
     def holds(self):

@@ -10,21 +10,22 @@ either side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import AlgebraSpec, LinMap, Param
 from .errors import UnknownKey
 from .parser import parse_scalar_expr
+from .record import Record
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    key: str
-    algebra: AlgebraSpec
-    maps: dict
-    provenance: str
-    expected: tuple = ()   # of (identity name, "holds" | "fails")
+class CatalogEntry(Record):
+    __slots__ = ("key", "algebra", "maps", "provenance", "expected")
+
+    def __init__(self, key, algebra, maps, provenance, expected=()):
+        self.key = key
+        self.algebra = algebra
+        self.maps = maps
+        self.provenance = provenance
+        self.expected = expected    # of (identity name, "holds" | "fails")
 
 
 def _scalars(params):
@@ -179,43 +180,40 @@ def _alt4_mu2():
     )
 
 
-def _alt4_twists():
-    claims = (("left_hom_alternative", "holds"),
-              ("right_hom_alternative", "holds"))
-    entries = []
+_TWIST_CLAIMS = (("left_hom_alternative", "holds"),
+                 ("right_hom_alternative", "holds"))
 
-    table11 = _resolve({
+
+def _alt4_twist(key, table, params, map_name, alpha, provenance):
+    """A 4-dimensional table twisted by alpha, which is also attached as the
+    map map_name."""
+    algebra = AlgebraSpec.from_table(key, _A4_BASIS, _resolve(table, params),
+                                     params=params, alpha=alpha)
+    return CatalogEntry(key=key, algebra=algebra, maps={map_name: alpha},
+                        provenance=provenance, expected=_TWIST_CLAIMS)
+
+
+def _alt4_mu1_twist_alpha1():
+    return _alt4_twist("alt4_mu1_twist_alpha1", {
         ("e0", "e0"): {"e0": "1", "e1": "a1", "e2": "a2", "e3": "a3"},
         ("e2", "e0"): {"e2": "a4", "e3": "a4*a3/a2"},
         ("e3", "e0"): {"e2": "a5", "e3": "a5*a3/a2"},
-    }, _A4_PARAMS_1)
-    entries.append(CatalogEntry(
-        key="alt4_mu1_twist_alpha1",
-        algebra=AlgebraSpec.from_table("alt4_mu1_twist_alpha1", _A4_BASIS,
-                                       table11, params=_A4_PARAMS_1,
-                                       alpha=_alpha1()),
-        maps={"alpha1": _alpha1()},
-        provenance="first 4-dimensional table twisted by alpha1; products "
-                   "landing on e1 vanish because alpha1(e1) = 0",
-        expected=claims,
-    ))
+    }, _A4_PARAMS_1, "alpha1", _alpha1(),
+        "first 4-dimensional table twisted by alpha1; products landing on e1 "
+        "vanish because alpha1(e1) = 0")
 
-    table21 = _resolve({
+
+def _alt4_mu2_twist_alpha1():
+    return _alt4_twist("alt4_mu2_twist_alpha1", {
         ("e0", "e0"): {"e0": "1", "e1": "a1", "e2": "a2", "e3": "a3"},
         ("e0", "e2"): {"e2": "a4", "e3": "a4*a3/a2"},
         ("e0", "e3"): {"e2": "a5", "e3": "a5*a3/a2"},
-    }, _A4_PARAMS_1)
-    entries.append(CatalogEntry(
-        key="alt4_mu2_twist_alpha1",
-        algebra=AlgebraSpec.from_table("alt4_mu2_twist_alpha1", _A4_BASIS,
-                                       table21, params=_A4_PARAMS_1,
-                                       alpha=_alpha1()),
-        maps={"alpha1": _alpha1()},
-        provenance="second 4-dimensional table twisted by alpha1",
-        expected=claims,
-    ))
+    }, _A4_PARAMS_1, "alpha1", _alpha1(),
+        "second 4-dimensional table twisted by alpha1")
 
-    table12 = _resolve({
+
+def _alt4_mu1_twist_alpha2():
+    return _alt4_twist("alt4_mu1_twist_alpha2", {
         ("e0", "e0"): {"e0": "1", "e1": "a1", "e2": "a2", "e3": "a3"},
         ("e0", "e1"): {"e1": "a4"},
         ("e2", "e0"): {"e2": "-a4*a2/a5", "e3": "-a4*a3/a5"},
@@ -224,36 +222,21 @@ def _alt4_twists():
         # here, which is inconsistent with the twist and with alpha2(e1)=a4 e1
         ("e3", "e0"): {"e1": "a5", "e2": "a6", "e3": "(a6*a3-a5)/a2"},
         ("e3", "e2"): {"e1": "-a4"},
-    }, _A4_PARAMS_2)
-    entries.append(CatalogEntry(
-        key="alt4_mu1_twist_alpha2",
-        algebra=AlgebraSpec.from_table("alt4_mu1_twist_alpha2", _A4_BASIS,
-                                       table12, params=_A4_PARAMS_2,
-                                       alpha=_alpha2()),
-        maps={"alpha2": _alpha2()},
-        provenance="first 4-dimensional table twisted by alpha2; the "
-                   "(e3, e0) product is alpha2(e3)",
-        expected=claims,
-    ))
+    }, _A4_PARAMS_2, "alpha2", _alpha2(),
+        "first 4-dimensional table twisted by alpha2; the (e3, e0) product is "
+        "alpha2(e3)")
 
-    table22 = _resolve({
+
+def _alt4_mu2_twist_alpha2():
+    return _alt4_twist("alt4_mu2_twist_alpha2", {
         ("e0", "e0"): {"e0": "1", "e1": "a1", "e2": "a2", "e3": "a3"},
         ("e0", "e2"): {"e2": "-a4*a2/a5", "e3": "-a4*a3/a5"},
         ("e0", "e3"): {"e1": "a5", "e2": "a6", "e3": "(a6*a3-a5)/a2"},
         ("e1", "e0"): {"e1": "a4"},
         ("e2", "e3"): {"e1": "a4"},
         ("e3", "e2"): {"e1": "-a4"},
-    }, _A4_PARAMS_2)
-    entries.append(CatalogEntry(
-        key="alt4_mu2_twist_alpha2",
-        algebra=AlgebraSpec.from_table("alt4_mu2_twist_alpha2", _A4_BASIS,
-                                       table22, params=_A4_PARAMS_2,
-                                       alpha=_alpha2()),
-        maps={"alpha2": _alpha2()},
-        provenance="second 4-dimensional table twisted by alpha2",
-        expected=claims,
-    ))
-    return entries
+    }, _A4_PARAMS_2, "alpha2", _alpha2(),
+        "second 4-dimensional table twisted by alpha2")
 
 
 # --- octonions ----------------------------------------------------------------------
@@ -356,37 +339,36 @@ def _hom_jordan_3d():
     )
 
 
-def _build():
-    entries = [
-        _hom_assoc_3d(),
-        _alt4_mu1(),
-        _alt4_mu2(),
-    ]
-    entries.extend(_alt4_twists())
-    entries.append(_octonions())
-    entries.append(_octonions_twist_diag())
-    entries.append(_hom_jordan_3d())
-    return {e.key: e for e in entries}
+# every entry's builder, in the presentation order; an entry is built on its
+# first lookup
+_BUILDERS = {
+    "hom_assoc_3d": _hom_assoc_3d,
+    "alt4_mu1": _alt4_mu1,
+    "alt4_mu2": _alt4_mu2,
+    "alt4_mu1_twist_alpha1": _alt4_mu1_twist_alpha1,
+    "alt4_mu2_twist_alpha1": _alt4_mu2_twist_alpha1,
+    "alt4_mu1_twist_alpha2": _alt4_mu1_twist_alpha2,
+    "alt4_mu2_twist_alpha2": _alt4_mu2_twist_alpha2,
+    "octonions": _octonions,
+    "octonions_twist_diag": _octonions_twist_diag,
+    "hom_jordan_3d": _hom_jordan_3d,
+}
 
-
-_ENTRIES = None
-
-
-def _entries():
-    global _ENTRIES
-    if _ENTRIES is None:
-        _ENTRIES = _build()
-    return _ENTRIES
+_ENTRIES = {}   # key -> entry, for the entries built so far
 
 
 def list_keys():
     """All catalog keys, in a fixed presentation order."""
-    return tuple(_entries())
+    return tuple(_BUILDERS)
 
 
 def get(key):
     """Catalog entry by key; raises UnknownKey otherwise."""
-    try:
-        return _entries()[key]
-    except KeyError:
-        raise UnknownKey("no catalog entry named %r" % key) from None
+    entry = _ENTRIES.get(key)
+    if entry is None:
+        try:
+            build = _BUILDERS[key]
+        except KeyError:
+            raise UnknownKey("no catalog entry named %r" % key) from None
+        entry = _ENTRIES[key] = build()
+    return entry

@@ -14,20 +14,23 @@ scalars printed in canonical form.  load(save(A)) reproduces A exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .algebra import AlgebraSpec, LinMap, Param
 from .errors import DivisionByZero, ParseError, ValidationError
 from .parser import parse_scalar_expr
+from .record import Record
 
 
-@dataclass
-class AlgebraFile:
+class AlgebraFile(Record):
     """A loaded algebra together with its named maps."""
 
-    algebra: AlgebraSpec
-    maps: dict
-    twist: str = None
+    __slots__ = ("algebra", "maps", "twist")
+    __hash__ = None
+
+    def __init__(self, algebra, maps, twist=None):
+        self.algebra = algebra
+        self.maps = maps
+        self.twist = twist
 
 
 def load(path):
@@ -199,15 +202,20 @@ def save(algebra, path, maps=None, twist=None):
 # --- reports -----------------------------------------------------------------------
 
 
-@dataclass
-class CheckRecord:
-    identity: str
-    strategy: str
-    verdict: str
-    witness: object = None
-    assumptions: tuple = ()
-    elapsed: float = 0.0
-    note: str = ""
+class CheckRecord(Record):
+    __slots__ = ("identity", "strategy", "verdict", "witness", "assumptions",
+                 "elapsed", "note")
+    __hash__ = None
+
+    def __init__(self, identity, strategy, verdict, witness=None,
+                 assumptions=(), elapsed=0.0, note=""):
+        self.identity = identity
+        self.strategy = strategy
+        self.verdict = verdict
+        self.witness = witness
+        self.assumptions = assumptions
+        self.elapsed = elapsed
+        self.note = note
 
     def to_json(self):
         # elapsed is intentionally omitted: identical inputs must give
@@ -224,12 +232,15 @@ class CheckRecord:
         return out
 
 
-@dataclass
-class Report:
-    command: str
-    subject: str
-    records: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("command", "subject", "records", "notes")
+    __hash__ = None
+
+    def __init__(self, command, subject, records=None, notes=None):
+        self.command = command
+        self.subject = subject
+        self.records = [] if records is None else records
+        self.notes = [] if notes is None else notes
 
     def add(self, record):
         self.records.append(record)

@@ -31,7 +31,6 @@ on the first lookup.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import (
@@ -65,6 +64,7 @@ from .parser import (
     identity_to_text,
     parse_identity,
 )
+from .record import Record
 from .scalars import Scalar, shared_layout
 
 
@@ -299,8 +299,7 @@ def _find_specialization(value, bindings, A):
 # --- builtin catalog ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BuiltinIdentity:
+class BuiltinIdentity(Record):
     """A named identity with its AST(s) and surface form(s).
 
     asts has a single element for plain identities; combination entries
@@ -309,12 +308,17 @@ class BuiltinIdentity:
     anticommuting-pair consequences) rather than over all of V.
     """
 
-    name: str
-    asts: tuple
-    surfaces: tuple
-    requires_commutative: bool = False
-    universal: bool = True
-    note: str = ""
+    __slots__ = ("name", "asts", "surfaces", "requires_commutative",
+                 "universal", "note")
+
+    def __init__(self, name, asts, surfaces, requires_commutative=False,
+                 universal=True, note=""):
+        self.name = name
+        self.asts = asts
+        self.surfaces = surfaces
+        self.requires_commutative = requires_commutative
+        self.universal = universal
+        self.note = note
 
     @property
     def ast(self):

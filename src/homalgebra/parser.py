@@ -34,10 +34,10 @@ identity_to_text.  Evaluation and checking live in homalgebra.identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityError, ParseError, UndeclaredParameter
+from .record import Record
 from .scalars import Scalar
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
@@ -55,44 +55,77 @@ _DIGITS = frozenset("0123456789")
 # --- the identity tree ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class _Node(Record):
+    """A node of the identity tree.  The tree is never changed after it is
+    built, so each node computes its hash once, in __init__: the evaluation
+    memo hashes every node it visits."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or (self._hash == other._hash
+                                 and self._values() == other._values())
 
 
-@dataclass(frozen=True)
-class Alpha:
-    power: int
-    child: object
+class Var(_Node):
+    __slots__ = ("name",)
 
-    def __post_init__(self):
-        if self.power < 1:
+    def __init__(self, name):
+        self.name = name
+        self._hash = hash((name,))
+
+
+class Alpha(_Node):
+    __slots__ = ("power", "child")
+
+    def __init__(self, power, child):
+        if power < 1:
             raise ValueError("Alpha power must be >= 1")
+        self.power = power
+        self.child = child
+        self._hash = hash((power, child))
 
 
-@dataclass(frozen=True)
-class Mu:
-    left: object
-    right: object
+class Mu(_Node):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left, right):
+        self.left = left
+        self.right = right
+        self._hash = hash((left, right))
 
 
-@dataclass(frozen=True)
-class Scale:
-    coeff: Scalar
-    child: object
+class Scale(_Node):
+    __slots__ = ("coeff", "child")
+
+    def __init__(self, coeff, child):
+        self.coeff = coeff      # a constant Scalar
+        self.child = child
+        self._hash = hash((coeff, child))
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple  # of (sign, node) with sign +1 / -1
+class Sum(_Node):
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        self.terms = terms      # tuple of (sign, node) with sign +1 / -1
+        self._hash = hash((terms,))
 
 
-@dataclass(frozen=True)
-class IdentityAST:
+class IdentityAST(_Node):
     """Expression asserted to vanish for all values of its variables."""
 
-    vars: tuple
-    body: object
+    __slots__ = ("vars", "body")
+
+    def __init__(self, vars, body):
+        self.vars = vars
+        self.body = body
+        self._hash = hash((vars, body))
 
 
 def _subterms(node):

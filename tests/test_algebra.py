@@ -1,6 +1,7 @@
 """Algebra-core operations: products, linear maps, certificates, twist,
 untwist, opposite, polarization, subalgebras, units."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -114,6 +115,26 @@ class TestLinMaps:
                      Scalar.from_fraction(int(x)) for x in row] for row in rows])
         assert compose(f, invert(f)) == identity(3)
         assert compose(invert(f), f) == identity(3)
+
+    def test_apply_map_matches_dense_reference(self):
+        # apply_map visits only the nonzero coordinates of the vector; the
+        # reference adds every product e_ij * v_j in turn, zeros included
+        rng = random.Random(20261019)
+        pool = [Scalar.zero()] * 6 + [
+            S("a"), S("b"), S("a") / S("b"), S("a") - Scalar.one(),
+            Scalar.from_fraction(Fraction(-3, 2)), Scalar.from_fraction(5)]
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            f = LinMap([[rng.choice(pool) for _ in range(n)]
+                        for _ in range(n)])
+            v = Vector([rng.choice(pool) for _ in range(n)])
+            got = apply_map(f, v)
+            for i in range(n):
+                want = Scalar.zero()
+                for j in range(n):
+                    want = want + f.rows[i][j] * v.coords[j]
+                assert got.coords[i] == want
+                assert str(got.coords[i]) == str(want)
 
 
 class TestEndomorphism:

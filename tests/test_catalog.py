@@ -46,8 +46,50 @@ def test_listing_is_exact():
 
 
 def test_unknown_key():
+    with pytest.raises(UnknownKey) as info:
+        catalog.get("nonsense")
+    assert str(info.value) == "no catalog entry named 'nonsense'"
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The keys whose builder ran, in order, from an empty cache."""
+    keys = []
+
+    def spy(key, build):
+        def spied():
+            keys.append(key)
+            return build()
+        return spied
+
+    monkeypatch.setattr(catalog, "_BUILDERS", {
+        key: spy(key, build) for key, build in catalog._BUILDERS.items()})
+    monkeypatch.setattr(catalog, "_ENTRIES", {})
+    return keys
+
+
+def test_listing_builds_nothing(built):
+    assert catalog.list_keys() == EXPECTED_KEYS
+    assert built == []
+
+
+@pytest.mark.parametrize("key", EXPECTED_KEYS)
+def test_get_builds_only_its_entry_once(built, key):
+    entry = catalog.get(key)
+    assert entry.key == key and built == [key]
+    assert catalog.get(key) is entry and built == [key]
+
+
+def test_unknown_key_builds_nothing(built):
     with pytest.raises(UnknownKey):
         catalog.get("nonsense")
+    assert built == []
+
+
+@pytest.mark.parametrize("tkey, bkey, mkey", TWIST_TRIPLES[:4])
+def test_twist_entries_share_their_map(tkey, bkey, mkey):
+    entry = catalog.get(tkey)
+    assert entry.algebra.alpha is entry.maps[mkey]
 
 
 def test_mu1_sample_entry():

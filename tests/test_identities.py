@@ -37,7 +37,7 @@ from homalgebra.identities import (
     is_multilinear,
     IdentityAST,
 )
-from homalgebra.parser import parse_identity
+from homalgebra.parser import _subterms, parse_identity
 from homalgebra.scalars import Scalar, exact_div
 
 
@@ -270,6 +270,18 @@ class TestBuiltins:
         assert not builtin("anticommute_left_consequence").universal
         assert not builtin("anticommute_right_consequence").universal
         assert builtin("hom_flexible").universal
+
+    @pytest.mark.parametrize("name", builtin_names())
+    def test_surface_parses_to_the_stored_ast(self, name):
+        # a fresh parse is a distinct tree that must hit the same memo and
+        # result-cache entries as the stored one
+        b = builtin(name)
+        for surface, ast in zip(b.surfaces, b.asts):
+            again = parse_identity(surface)
+            assert again is not ast
+            assert again == ast and hash(again) == hash(ast)
+            assert all(x == y and hash(x) == hash(y) for x, y in
+                       zip(_subterms(again.body), _subterms(ast.body)))
 
 
 class TestStructuralProperties:
