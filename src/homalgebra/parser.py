@@ -58,7 +58,8 @@ _DIGITS = frozenset("0123456789")
 class _Node(Record):
     """A node of the identity tree.  The tree is never changed after it is
     built, so each node computes its hash once, in __init__: the evaluation
-    memo hashes every node it visits."""
+    memo hashes every node it visits.  The slot _hash is not a field; the
+    fields are the __slots__ of each node class."""
 
     __slots__ = ("_hash",)
 
@@ -68,8 +69,7 @@ class _Node(Record):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self is other or (self._hash == other._hash
-                                 and self._values() == other._values())
+        return self._hash == other._hash and self._values() == other._values()
 
 
 class Var(_Node):
