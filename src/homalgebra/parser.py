@@ -43,8 +43,8 @@ from .scalars import Scalar
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
 _MAX_NESTING = 100   # far beyond real expressions, within Python's stack
 # a scalar power costs one multiplication per unit of its exponent, and
-# al^32 of a 4-dim parametric map (5 compositions, by halving) still takes
-# about half a second; the paper's identities use al^2 at most
+# al^32 of a 4-dim parametric map takes 5 compositions, by halving; the
+# paper's identities use al^2 at most
 _MAX_EXPONENT = 32
 # far beyond any coefficient in practice, well within Python's int-string
 # conversion limit (4300 digits)
@@ -104,7 +104,7 @@ class Scale(_Node):
     __slots__ = ("coeff", "child")
 
     def __init__(self, coeff, child):
-        self.coeff = coeff      # a constant Scalar
+        self.coeff = coeff      # a Scalar
         self.child = child
         self._hash = hash((coeff, child))
 
