@@ -303,14 +303,14 @@ class AlgebraSpec:
         declared = {p.name for p in self.params}
         for i, j, k, c in mu:
             c = _coerce(c)
-            if c.is_zero():
-                continue
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ValueError("structure constant index out of range: %r"
                                  % ((i, j, k),))
             if (i, j, k) in seen:
                 raise ValueError("duplicate structure constant at %r" % ((i, j, k),))
             seen.add((i, j, k))
+            if c.is_zero():
+                continue
             extra = c.variables() - declared
             if extra:
                 raise ValueError("structure constant uses undeclared parameters %s"

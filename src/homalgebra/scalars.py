@@ -42,6 +42,7 @@ s ** n is canonical by construction once its denominator is made monic.  A
 product or quotient takes the two cross gcds of its factors, and a sum the
 gcd of its denominators and at most one more with that (Henrici), never one
 gcd of the multiplied-out result; a sum with a polynomial operand takes none.
+Every gcd of two multi-term polynomials is GCDHEU (poly_gcd), which ends.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from heapq import heapify, heappop, heappush
+from math import gcd, isqrt, lcm
 from operator import neg
 
 from .errors import (
@@ -674,41 +676,6 @@ def _term_str(exps, coeff):
 
 
 # --- multivariate gcd ---------------------------------------------------------
-#
-# Primitive PRS in a main variable, recursing on the coefficients.  Its cost
-# has no bound: the coefficients of the pseudo-remainders can swell, so even a
-# gcd of small 4-variable inputs can take tens of seconds (see ROADMAP item 1,
-# a gcd with a bounded worst case).
-
-
-def _as_univariate(p, x):
-    """View p as a polynomial in x with Polynomial coefficients."""
-    layout = p.ring
-    split = layout.split
-    coeffs = {}
-    for m, c in p.terms.items():
-        e, rest = split(m, x)
-        # distinct monomials of p stay distinct once x is split off
-        coeffs.setdefault(e, {})[rest] = c
-    return {e: _raw(bucket, layout) for e, bucket in coeffs.items()}
-
-
-def _from_univariate(coeffs, x):
-    out = _ZERO
-    for e, poly in coeffs.items():
-        if e:
-            layout = poly.ring
-            if x not in layout.nameset or e >= layout.cap:
-                layout = _layout((x,), e)
-            xe = _raw({layout.power(x, e): 1}, layout)
-        else:
-            xe = _ONE
-        out = out + poly * xe
-    return out
-
-
-def _univ_degree(coeffs):
-    return max((e for e, p in coeffs.items() if not p.is_zero()), default=-1)
 
 
 def exact_div(p, d):
@@ -757,38 +724,24 @@ def exact_div(p, d):
     return _raw(quo, layout)
 
 
-def _pseudo_rem(a, b, x):
-    """Pseudo-remainder of a by b as univariate polynomials in x."""
-    db = _univ_degree(b)
-    lb = b[db]
-    r = dict(a)
-    while True:
-        dr = _univ_degree(r)
-        if dr < db:
-            break
-        lr = r[dr]
-        # r := lb*r - lr * x^(dr-db) * b
-        new = {}
-        for e, p in r.items():
-            new[e] = p * lb
-        for e, p in b.items():
-            shifted = e + dr - db
-            new[shifted] = new.get(shifted, _ZERO) - p * lr
-        r = {e: p for e, p in new.items() if not p.is_zero()}
-    return r
-
-
-def _primitive(coeffs):
-    """Content (gcd of the coefficients) and primitive part of a polynomial
-    in its univariate view."""
-    content = _ZERO
-    for _, c in sorted(coeffs.items()):
-        content = poly_gcd(content, c)
-    return content, {e: exact_div(c, content) for e, c in coeffs.items()}
-
-
 def poly_gcd(p, q):
-    """Gcd of multivariate polynomials over Q, normalized monic."""
+    """Gcd of multivariate polynomials over Q, normalized monic.
+
+    Past the zero, constant and single-term cases, GCDHEU (Char, Geddes and
+    Gonnet, 1989) over Z, its levels in a list.  Down, each level takes out
+    the operands' common integer content and sets the earliest variable x
+    of the one with fewer terms to an integer xi, until an operand is an
+    integer or zero.  Up, a level reads its candidate off the balanced
+    base-xi digits of the gcd below (digit e is the coefficient of x^e),
+    takes its primitive part h, and keeps h if exact_div divides both
+    operands by it; else xi grows and the levels below are made again.  A
+    kept h is the gcd G = h*q, q constant: q(xi) divides the digits'
+    content, at most xi/2, and xi > 2|f| + 2 for an operand f, so by
+    Cauchy's bound a nonconstant q | f has |q(xi)| > xi/2.  The loop ends:
+    with f = G*a and g = G*b, the image gcd is G(xi) times a divisor of the
+    resultant of a and b in x, an integer past finitely many xi, and a
+    large enough xi reads back G times it.
+    """
     if p.is_zero():
         return _monic(q)
     if q.is_zero():
@@ -805,26 +758,72 @@ def poly_gcd(p, q):
             for m in poly.terms:
                 g = m if g is None else layout.gcd(g, m)
         return _raw({g: 1}, layout)
-    # the main variable is the earliest name in either
-    x = layout.used([*p.terms, *q.terms])[0]
-    cont_p, a = _primitive(_as_univariate(p, x))
-    cont_q, b = _primitive(_as_univariate(q, x))
-    cont = poly_gcd(cont_p, cont_q)
-    if _univ_degree(a) < _univ_degree(b):
-        a, b = b, a
-    while b:
-        r = _pseudo_rem(a, b, x)
-        a, b = b, (_primitive(r)[1] if r else {})
-    return _monic(_from_univariate(a, x) * cont)
+    split, bound = layout.split, min(_degree(p), _degree(q))
+    # [f, g, content, x, xi] per level, f and g with the content taken out
+    levels = []
+    f, g = (t.scale(lcm(*(c.denominator for c in t.terms.values()))).terms
+            for t in (p, q))
+    while True:
+        while not (_is_const(f) or _is_const(g)):
+            content = gcd(*f.values(), *g.values())
+            f = {m: c // content for m, c in f.items()}
+            g = {m: c // content for m, c in g.items()}
+            x = layout.used(min(f, g, key=len))[0]
+            xi = 2 * min(max(map(abs, f.values())),
+                         max(map(abs, g.values()))) + 29
+            levels.append([f, g, content, x, xi])
+            f, g = _at(f, x, xi, split), _at(g, x, xi, split)
+        # xi is above twice the lesser norm, so at most one image vanishes
+        h = {0: gcd(*f.values(), *g.values())} if f and g else f or g
+        while levels:
+            f, g, content, x, xi = level = levels[-1]
+            try:
+                cand = _raw(_digits(h, x, xi, layout, bound), layout)
+                exact_div(_raw(f, layout), cand)
+                exact_div(_raw(g, layout), cand)
+            except ValueError:
+                xi = level[4] = xi * 73794 * isqrt(isqrt(xi)) // 27011
+                f, g = _at(f, x, xi, split), _at(g, x, xi, split)
+                break
+            h = {m: content * c for m, c in cand.terms.items()}
+            levels.pop()
+        else:
+            return _monic(_raw(h, layout))
+
+
+def _at(f, x, xi, split):
+    """f, over Z, with x set to xi."""
+    out = {}
+    for m, c in f.items():
+        e, m = split(m, x)
+        out[m] = out.get(m, 0) + c * xi ** e
+    return {m: c for m, c in out.items() if c}
+
+
+def _digits(h, x, xi, layout, bound):
+    """The primitive part of the polynomial whose coefficient of x^e is
+    digit e of h's, in balanced base xi; ValueError for a term of degree
+    above bound, which divides neither operand."""
+    out = {}
+    half = xi // 2
+    for m, c in h.items():
+        e = 0
+        while c:
+            d = (c + half) % xi - half
+            if d:
+                if layout.degree(m) + e > bound:
+                    raise ValueError("candidate above the degree bound")
+                out[m + layout.power(x, e) if e else m] = d
+            c = (c - d) // xi
+            e += 1
+    content = gcd(*out.values())
+    return {m: d // content for m, d in out.items()}
 
 
 def _monic(p):
     if p.is_zero():
         return p
-    lc = p.leading_coeff()
-    if lc == 1:
-        return p
-    return p.scale(Fraction(1, lc))
+    return p.scale(Fraction(1, p.leading_coeff()))
 
 
 # --- Scalar --------------------------------------------------------------------

@@ -13,8 +13,9 @@ from homalgebra.scalars import Monomial, Polynomial, Scalar
 VARS = ("a", "b", "c")
 
 
-def random_polynomial(rng, max_terms=3, max_degree=2, variables=VARS):
-    # deliberately small: every polynomial this package manipulates lives at
+def random_polynomial(rng, max_terms=3, max_degree=2, variables=VARS,
+                      max_coeff=4):
+    # small by default: most polynomials this package manipulates live at
     # this scale (a handful of parameters, low degree)
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
@@ -23,7 +24,7 @@ def random_polynomial(rng, max_terms=3, max_degree=2, variables=VARS):
             e = rng.randint(0, max_degree)
             if e and rng.random() < 0.6:
                 exps[v] = e
-        coeff = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        coeff = Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, 3))
         mono = Monomial(exps)
         terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return Polynomial(terms)

@@ -345,18 +345,21 @@ class TestUnit:
 
 
 class TestAlgebraSpecValidation:
-    def test_duplicate_entry_rejected(self):
-        with pytest.raises(ValueError):
+    # a zero constant is checked before it is dropped, in either order
+    @pytest.mark.parametrize("values", [(1, 2), (0, 1), (1, 0), (0, 0)])
+    def test_duplicate_entry_rejected(self, values):
+        with pytest.raises(ValueError, match="duplicate structure constant"):
             AlgebraSpec("bad", 2, ["x", "y"],
-                        mu=[(0, 0, 0, 1), (0, 0, 0, 2)])
+                        mu=[(0, 0, 0, values[0]), (0, 0, 0, values[1])])
 
     def test_undeclared_parameter_rejected(self):
         with pytest.raises(ValueError):
             AlgebraSpec("bad", 2, ["x", "y"], mu=[(0, 0, 0, S("q"))])
 
-    def test_index_out_of_range(self):
-        with pytest.raises(ValueError):
-            AlgebraSpec("bad", 2, ["x", "y"], mu=[(0, 0, 5, 1)])
+    @pytest.mark.parametrize("value", [1, 0])
+    def test_index_out_of_range(self, value):
+        with pytest.raises(ValueError, match="index out of range"):
+            AlgebraSpec("bad", 2, ["x", "y"], mu=[(0, 0, 5, value)])
 
     def test_zero_entries_dropped(self):
         A = AlgebraSpec("ok", 2, ["x", "y"], mu=[(0, 0, 0, 0)])

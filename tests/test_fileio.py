@@ -64,6 +64,17 @@ def test_undeclared_parameter_rejected():
     assert "q" in str(exc.value)
 
 
+@pytest.mark.parametrize("values", [("1", "2"), ("0", "1"), ("1", "0")])
+def test_a_product_listed_twice_is_rejected(values):
+    # a zero constant counts as listed, so neither order is taken
+    text = json.dumps({
+        "name": "bad", "dim": 1, "basis": ["e"],
+        "mu": [{"i": "e", "j": "e", "value": {"e": v}} for v in values],
+    })
+    with pytest.raises(ValidationError, match="duplicate structure constant"):
+        loads(text)
+
+
 def test_json_syntax_error_has_position():
     with pytest.raises(ParseError) as exc:
         loads("{ not json")

@@ -11,14 +11,18 @@ squares a sum of 600 parameters (180 300 terms) under a cap on the
 child's address space, so that a monomial key that grows with the number
 of names in its layout, not in the monomial, fails it; another squares a
 sum of 1500 parameters under a cap too small for it, and must exit 2 with
-an `error:` line, not a traceback.
+an `error:` line, not a traceback.  The gcd of two sums of 1000 parameters
+runs 1000 levels deep and must answer as before, and a residual over the
+square of a sum of 400 parameters must come within the bound.
 """
 
+import hashlib
 import json
 import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -173,3 +177,61 @@ def test_running_out_of_memory_exits_two(tmp_path):
     done = _verify_twisted_by_a_sum(tmp_path, 1500, SMALL_ADDRESS_SPACE)
     assert done.returncode == 2, done.stderr[-2000:]
     assert done.stderr == "error: the computation ran out of memory\n"
+
+
+# Two constants over the sum S of 1000 names, 1/S + 1/(S + 1): the sum
+# takes poly_gcd(S, S + 1), which sets one name at a time, 1000 levels
+# deep, so a gcd that recursed per level would overflow Python's stack.
+# The report, whose assumption is S*(S + 1) multiplied out (6.9 MB), is
+# pinned by its digest; the whole command takes about 8 s.
+_MANY_NAMES = ["p%d" % i for i in range(1, 1001)]
+_MANY_NAMES_DIGEST = (
+    "a3f75e0820cbd9f971715084276fe55bc7840dce0afb2425b717e2059f4565ce")
+
+
+def test_a_gcd_over_a_thousand_names(tmp_path):
+    total = " + ".join(_MANY_NAMES)
+    doc = _doc(["e", "f"], _MANY_NAMES, [{"i": "e", "j": "e", "value": {
+        "e": "1/(%s) + 1/(%s + 1)" % (total, total)}}], {})
+    (tmp_path / "many_names.json").write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "homalgebra.cli", "verify", "many_names.json",
+         "--identity", "commutative", "--json"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, timeout=SUBPROCESS_TIMEOUT)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert b"Traceback" not in done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == _MANY_NAMES_DIGEST
+
+
+# e*f = 1/S e and f*e = 1/(S + 1) e over the sum S of 400 names: the
+# commutator's residual is 1/(S^2 + S), and reducing it takes the gcd of a
+# 2-term polynomial with that 80 600-term denominator.  The gcd sets the
+# variables of the operand with fewer terms first, so that gcd is one
+# level deep, not 400 levels over the large operand: about 1.5 s, against
+# 14 s when the gcd set the earliest variable of either operand first.
+def test_a_residual_over_a_squared_sum(tmp_path):
+    names = _MANY_NAMES[:400]
+    total = " + ".join(names)
+    doc = _doc(["e", "f"], names, [
+        {"i": "e", "j": "f", "value": {"e": "1/(%s)" % total}},
+        {"i": "f", "j": "e", "value": {"e": "1/(%s + 1)" % total}}], {})
+    path = tmp_path / "squared_sum.json"
+    path.write_text(json.dumps(doc))
+    src = Path(__file__).resolve().parent.parent / "src"
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "homalgebra.cli", "verify", str(path),
+         "--identity", "commutative", "--json"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=SUBPROCESS_TIMEOUT)
+    seconds = time.perf_counter() - started
+    assert done.returncode == 1, done.stderr[-2000:]
+    (check,) = json.loads(done.stdout)["checks"]
+    assert check["verdict"] == "fails" and check["witness"]["at"] == ["e", "f"]
+    residual = check["witness"]["residual"]
+    assert residual.startswith("(1)/(p1^2 + 2*p1*p2 + ")
+    # S^2 + S has 400*401/2 + 400 terms, all positive
+    assert residual.count(" + ") == 80599 and " - " not in residual
+    assert seconds < BOUND, seconds

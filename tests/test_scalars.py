@@ -9,7 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import cmp_to_key
-from math import prod
+from math import isqrt, prod
 from pathlib import Path
 
 import pytest
@@ -51,9 +51,9 @@ def S(name):
 def key_form(request):
     """Runs a class twice: with packed keys, and with every layout made
     while it runs wide (a _PACK_BITS of 0), so the tuple keys of wide
-    layouts meet the same checks.  Only classes whose data come from the
-    seeded rng take it: a parametrized hypothesis test draws other
-    examples."""
+    layouts meet the same checks.  A class of seeded rng data meets the
+    same data in both; a hypothesis test draws fixed examples of its own
+    in each, since hypothesis seeds a parametrized test per parameter."""
     saved = scalars._PACK_BITS
     if request.param == "wide":
         scalars._PACK_BITS = 0
@@ -490,6 +490,7 @@ def _scalar_at(spec, pt):
     return Scalar(_poly(num), _poly(den)), value
 
 
+@pytest.mark.usefixtures("key_form")
 class TestFractionOracle:
     @oracle
     @given(x=scalar_specs(), y=scalar_specs(), pt=points)
@@ -571,7 +572,8 @@ class TestFractionOracle:
 # instead of hanging the suite.
 _CUBE_BASE = ("(-7/15*a2*a10*x_1 - 4/3*b - 1/3)"
               "/(a2^2*b^2*x_1^2 + 2/15*a2*a10*x_1^2 + 4/3)")
-_POWER_SCRIPT = """
+# a 1-dim algebra file whose one structure constant is the cube of the base
+_CUBE_FILE = """
 import json, sys
 from fractions import Fraction
 from homalgebra.fileio import loads
@@ -582,12 +584,31 @@ s = parse_scalar_expr(base, names)
 doc = {"name": "cube", "dim": 1, "basis": ["e"],
        "params": [{"name": v} for v in names],
        "mu": [{"i": "e", "j": "e", "value": {"e": "(%s)^3" % base}}]}
+"""
+_POWER_SCRIPT = _CUBE_FILE + """
 (_, _, _, constant), = loads(json.dumps(doc)).algebra.mu
 values = []
 for pt in points:
     pt = {v: Fraction(x) for v, x in pt.items()}
     values.append([str(r.specialize(pt)) for r in (s ** 3, s ** -3, constant)])
 print(json.dumps(values))
+"""
+# the default suite of `homalg verify` on that file: at a product's cross
+# gcd, poly_gcd(a, d), the primitive PRS was still running after 90 s
+_VERIFY_SCRIPT = _CUBE_FILE + """
+import contextlib, io, os, tempfile
+from homalgebra.cli import main
+
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "cube.json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", path, "--json"])
+checks = json.loads(out.getvalue())["checks"]
+print(json.dumps([code, str((s ** 3).den),
+                  [[c["verdict"], c["assumptions"]] for c in checks]]))
 """
 _PRODUCT_SCRIPT = """
 import json, sys
@@ -614,9 +635,9 @@ import json, sys
 from fractions import Fraction
 from homalgebra.parser import parse_scalar_expr
 
-base, names, points = json.load(sys.stdin)
+base, names, (m, n), points = json.load(sys.stdin)
 s = parse_scalar_expr(base, names)
-sums = [s ** 2 + s, s ** 2 - s]
+sums = [s ** m + s ** n, s ** m - s ** n]
 print(json.dumps([[str(r.specialize({v: Fraction(x) for v, x in pt.items()}))
                    for r in sums] for pt in points]))
 """
@@ -641,6 +662,18 @@ def _cube_base_points(rng):
     return pts
 
 
+def _check_sums(rng, m, n):
+    """s^m + s^n and s^m - s^n of the base, at seeded points."""
+    pts = _cube_base_points(rng)
+    got = _run_with_timeout(_SUM_SCRIPT, [
+        _CUBE_BASE, NAMES, [m, n],
+        [{v: str(x) for v, x in pt.items()} for pt in pts]])
+    for pt, values in zip(pts, got):
+        v = _cube_base_value(pt)
+        assert [Fraction(g) for g in values] == [v ** m + v ** n,
+                                                 v ** m - v ** n]
+
+
 class TestPowerCost:
     def test_cube_of_a_four_variable_scalar(self, rng):
         pts = _cube_base_points(rng)
@@ -654,13 +687,21 @@ class TestPowerCost:
     def test_a_square_plus_or_minus_the_scalar(self, rng):
         # a sum takes the gcd of its denominators (Henrici), here den^2 and
         # den, not one gcd of the multiplied-out sum, which took over 20 s
-        pts = _cube_base_points(rng)
-        got = _run_with_timeout(_SUM_SCRIPT, [
-            _CUBE_BASE, NAMES,
-            [{v: str(x) for v, x in pt.items()} for pt in pts]])
-        for pt, values in zip(pts, got):
-            v = _cube_base_value(pt)
-            assert [Fraction(g) for g in values] == [v ** 2 + v, v ** 2 - v]
+        _check_sums(rng, 2, 1)
+
+    def test_a_cube_plus_or_minus_a_square(self, rng):
+        # s^3 + s*s: the sum's second gcd, of the 22-term numerator with
+        # den^2, did not finish in 120 s with the primitive PRS
+        _check_sums(rng, 3, 2)
+
+    def test_verify_of_a_file_whose_constant_is_the_cube(self):
+        # a 1-dim commutative, associative algebra with the identity map
+        # satisfies every identity, under the constant's denominator
+        code, den, checks = _run_with_timeout(
+            _VERIFY_SCRIPT, [_CUBE_BASE, NAMES, []])
+        assert code == 0 and len(checks) == 13
+        assert all(c == ["holds-under-assumptions", ["(%s) != 0" % den]]
+                   for c in checks)
 
     def test_products_and_quotients_of_the_same_scalar(self):
         assert _run_with_timeout(_PRODUCT_SCRIPT, [_CUBE_BASE, NAMES]) == [
@@ -695,8 +736,8 @@ def _to_sympy(sympy, p):
                 for m, c in p.monomials().items()), sympy.Integer(0))
 
 
-def _assert_gcd_matches_sympy(sympy, p, q):
-    gens = [sympy.Symbol(v) for v in NAMES]
+def _assert_gcd_matches_sympy(sympy, p, q, names=NAMES):
+    gens = [sympy.Symbol(v) for v in names]
     ours = sympy.Poly(_to_sympy(sympy, poly_gcd(p, q)), *gens)
     theirs = sympy.Poly(sympy.gcd(_to_sympy(sympy, p), _to_sympy(sympy, q)),
                         *gens)
@@ -722,6 +763,40 @@ class TestSympyCrossCheck:
             q = random_nonzero_polynomial(rng, variables=NAMES)
             _assert_gcd_matches_sympy(sympy, p, p * q)
             _assert_gcd_matches_sympy(sympy, p * q, p)
+
+    # four variables; three up to degree 15; coefficients up to 10^6.  The
+    # primitive PRS did not finish the four-variable draws in 90 s
+    @pytest.mark.parametrize("names, max_degree, max_coeff, draws", [
+        (NAMES, 7, 50, 300), (("a", "b", "c"), 5, 4, 60),
+        (("a", "b", "c"), 2, 10 ** 6, 60)], ids=["four", "degree", "coeff"])
+    def test_poly_gcd_of_larger_draws(self, rng, names, max_degree, max_coeff,
+                                      draws):
+        sympy = pytest.importorskip("sympy")
+        kw = dict(variables=names, max_degree=max_degree, max_coeff=max_coeff)
+        for _ in range(draws):
+            p = random_nonzero_polynomial(rng, **kw)
+            if rng.random() < 0.3:
+                q = p * random_nonzero_polynomial(rng, **kw)
+            else:
+                common = random_nonzero_polynomial(rng, max_terms=2, **kw)
+                p, q = common * p, common * random_nonzero_polynomial(rng, **kw)
+            _assert_gcd_matches_sympy(sympy, p, q, names)
+
+    def test_a_candidate_that_divides_neither_grows_xi(self, monkeypatch):
+        # over Z the operands are 9*(a - 2) and a^2*(a - 2), and their
+        # images at the first xi, 33, are 279 = 9*31 and 33759 = 1089*31:
+        # their gcd 279 reads back as 8*a + 15, which divides neither, so xi
+        # grows (the growth is the one caller of isqrt)
+        sympy = pytest.importorskip("sympy")
+        grown = []
+        monkeypatch.setattr(scalars, "isqrt",
+                            lambda n: grown.append(n) or isqrt(n))
+        a, two = P("a"), Polynomial.const(2)
+        p = (a - two).scale(Fraction(9, 2))
+        q = (a * a * a - two * a * a).scale(Fraction(1, 2))
+        assert poly_gcd(p, q) == a - two
+        assert grown
+        _assert_gcd_matches_sympy(sympy, p, q)
 
     def test_canonical_form_matches_cancel(self, rng):
         sympy = pytest.importorskip("sympy")
