@@ -42,7 +42,8 @@ s ** n is canonical by construction once its denominator is made monic.  A
 product or quotient takes the two cross gcds of its factors, and a sum the
 gcd of its denominators and at most one more with that (Henrici), never one
 gcd of the multiplied-out result; a sum with a polynomial operand takes none.
-Every gcd of two multi-term polynomials is GCDHEU (poly_gcd), which ends.
+A gcd of two multi-term polynomials is GCDHEU (poly_gcd) while its
+evaluation point stays under _XI_BITS bits, and the primitive PRS past it.
 """
 
 from __future__ import annotations
@@ -676,6 +677,46 @@ def _term_str(exps, coeff):
 
 
 # --- multivariate gcd ---------------------------------------------------------
+#
+# GCDHEU, and the primitive PRS past _XI_BITS.  A level's xi is twice the
+# norm of the image above it, so at degree 2 and up its size doubles per
+# level: with A the sum of the squares of n names, gcd(A, A + 1) sets xi
+# to 49 000 bits at n = 14 and twice that per further name, while the PRS
+# takes one pseudo-remainder for it.  The largest xi over 3 000 seeded
+# 4-variable draws of the test suite's shape (degree up to 7 per factor,
+# coefficients up to 50) had 15 847 bits.  The PRS's own cost has no bound
+# either: its pseudo-remainders' coefficients can swell (ROADMAP item 1).
+_XI_BITS = 1 << 16
+
+
+def _as_univariate(p, x):
+    """View p as a polynomial in x with Polynomial coefficients."""
+    layout = p.ring
+    split = layout.split
+    coeffs = {}
+    for m, c in p.terms.items():
+        e, rest = split(m, x)
+        # distinct monomials of p stay distinct once x is split off
+        coeffs.setdefault(e, {})[rest] = c
+    return {e: _raw(bucket, layout) for e, bucket in coeffs.items()}
+
+
+def _from_univariate(coeffs, x):
+    out = _ZERO
+    for e, poly in coeffs.items():
+        if e:
+            layout = poly.ring
+            if x not in layout.nameset or e >= layout.cap:
+                layout = _layout((x,), e)
+            xe = _raw({layout.power(x, e): 1}, layout)
+        else:
+            xe = _ONE
+        out = out + poly * xe
+    return out
+
+
+def _univ_degree(coeffs):
+    return max((e for e, p in coeffs.items() if not p.is_zero()), default=-1)
 
 
 def exact_div(p, d):
@@ -725,23 +766,13 @@ def exact_div(p, d):
 
 
 def poly_gcd(p, q):
-    """Gcd of multivariate polynomials over Q, normalized monic.
+    """Gcd of multivariate polynomials over Q, normalized monic: GCDHEU
+    (_heu_gcd) for two multi-term operands, and the PRS past its cap."""
+    return _gcd(p, q, _heu_gcd)
 
-    Past the zero, constant and single-term cases, GCDHEU (Char, Geddes and
-    Gonnet, 1989) over Z, its levels in a list.  Down, each level takes out
-    the operands' common integer content and sets the earliest variable x
-    of the one with fewer terms to an integer xi, until an operand is an
-    integer or zero.  Up, a level reads its candidate off the balanced
-    base-xi digits of the gcd below (digit e is the coefficient of x^e),
-    takes its primitive part h, and keeps h if exact_div divides both
-    operands by it; else xi grows and the levels below are made again.  A
-    kept h is the gcd G = h*q, q constant: q(xi) divides the digits'
-    content, at most xi/2, and xi > 2|f| + 2 for an operand f, so by
-    Cauchy's bound a nonconstant q | f has |q(xi)| > xi/2.  The loop ends:
-    with f = G*a and g = G*b, the image gcd is G(xi) times a divisor of the
-    resultant of a and b in x, an integer past finitely many xi, and a
-    large enough xi reads back G times it.
-    """
+
+def _gcd(p, q, multi):
+    """poly_gcd, with multi taking two multi-term operands in one layout."""
     if p.is_zero():
         return _monic(q)
     if q.is_zero():
@@ -758,6 +789,25 @@ def poly_gcd(p, q):
             for m in poly.terms:
                 g = m if g is None else layout.gcd(g, m)
         return _raw({g: 1}, layout)
+    return multi(p, q)
+
+
+def _heu_gcd(p, q):
+    """GCDHEU (Char, Geddes and Gonnet, 1989) over Z, its levels in a list,
+    of two multi-term polynomials in one layout.  Down, each level takes out
+    the operands' common integer content and sets the earliest variable x
+    of the one with fewer terms to an integer xi, until an operand is an
+    integer or zero.  Up, a level reads its candidate off the balanced
+    base-xi digits of the gcd below (digit e is the coefficient of x^e),
+    takes its primitive part h, and keeps h if exact_div divides both
+    operands by it; else xi grows and the levels below are made again.  A
+    kept h is the gcd G = h*q, q constant: q(xi) divides the digits'
+    content, at most xi/2, and xi > 2|f| + 2 for an operand f, so by
+    Cauchy's bound a nonconstant q | f has |q(xi)| > xi/2.  Each growth
+    more than doubles xi, and an xi of more than _XI_BITS bits hands the
+    whole gcd to the primitive PRS, so the loop ends.
+    """
+    layout = p.ring
     split, bound = layout.split, min(_degree(p), _degree(q))
     # [f, g, content, x, xi] per level, f and g with the content taken out
     levels = []
@@ -771,6 +821,8 @@ def poly_gcd(p, q):
             x = layout.used(min(f, g, key=len))[0]
             xi = 2 * min(max(map(abs, f.values())),
                          max(map(abs, g.values()))) + 29
+            if xi.bit_length() > _XI_BITS:
+                return _prs_gcd(p, q)
             levels.append([f, g, content, x, xi])
             f, g = _at(f, x, xi, split), _at(g, x, xi, split)
         # xi is above twice the lesser norm, so at most one image vanishes
@@ -783,6 +835,8 @@ def poly_gcd(p, q):
                 exact_div(_raw(g, layout), cand)
             except ValueError:
                 xi = level[4] = xi * 73794 * isqrt(isqrt(xi)) // 27011
+                if xi.bit_length() > _XI_BITS:
+                    return _prs_gcd(p, q)
                 f, g = _at(f, x, xi, split), _at(g, x, xi, split)
                 break
             h = {m: content * c for m, c in cand.terms.items()}
@@ -818,6 +872,51 @@ def _digits(h, x, xi, layout, bound):
             e += 1
     content = gcd(*out.values())
     return {m: d // content for m, d in out.items()}
+
+
+def _pseudo_rem(a, b, x):
+    """Pseudo-remainder of a by b as univariate polynomials in x."""
+    db = _univ_degree(b)
+    lb = b[db]
+    r = dict(a)
+    while True:
+        dr = _univ_degree(r)
+        if dr < db:
+            break
+        lr = r[dr]
+        # r := lb*r - lr * x^(dr-db) * b
+        new = {}
+        for e, p in r.items():
+            new[e] = p * lb
+        for e, p in b.items():
+            shifted = e + dr - db
+            new[shifted] = new.get(shifted, _ZERO) - p * lr
+        r = {e: p for e, p in new.items() if not p.is_zero()}
+    return r
+
+
+def _primitive(coeffs):
+    """Content (gcd of the coefficients) and primitive part of a polynomial
+    in its univariate view."""
+    content = _ZERO
+    for _, c in sorted(coeffs.items()):
+        content = _gcd(content, c, _prs_gcd)
+    return content, {e: exact_div(c, content) for e, c in coeffs.items()}
+
+
+def _prs_gcd(p, q):
+    """Primitive PRS of two multi-term polynomials in one layout, in their
+    earliest variable, its content gcds PRS too."""
+    x = p.ring.used([*p.terms, *q.terms])[0]
+    cont_p, a = _primitive(_as_univariate(p, x))
+    cont_q, b = _primitive(_as_univariate(q, x))
+    cont = _gcd(cont_p, cont_q, _prs_gcd)
+    if _univ_degree(a) < _univ_degree(b):
+        a, b = b, a
+    while b:
+        r = _pseudo_rem(a, b, x)
+        a, b = b, (_primitive(r)[1] if r else {})
+    return _monic(_from_univariate(a, x) * cont)
 
 
 def _monic(p):

@@ -183,7 +183,7 @@ def test_running_out_of_memory_exits_two(tmp_path):
 # takes poly_gcd(S, S + 1), which sets one name at a time, 1000 levels
 # deep, so a gcd that recursed per level would overflow Python's stack.
 # The report, whose assumption is S*(S + 1) multiplied out (6.9 MB), is
-# pinned by its digest; the whole command takes about 8 s.
+# pinned by its digest; the whole command takes about 11 s.
 _MANY_NAMES = ["p%d" % i for i in range(1, 1001)]
 _MANY_NAMES_DIGEST = (
     "a3f75e0820cbd9f971715084276fe55bc7840dce0afb2425b717e2059f4565ce")

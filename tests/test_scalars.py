@@ -730,6 +730,33 @@ class TestDivisionCost:
         assert _run_with_timeout(_DIVISION_SCRIPT, [600]) == [180300, True]
 
 
+# A the sum of the squares of n names: GCDHEU's xi doubles in size at each
+# level, so gcd(A, A + 1) over 30 names needed gigabytes before xi was
+# bounded (_XI_BITS); past the bound the primitive PRS takes one
+# pseudo-remainder.  (A + 1)(A + p1) and (A + 1)(A - p2) reach the bound too,
+# and their gcd is A + 1.
+_SQUARES_SCRIPT = """
+import json, sys
+from homalgebra.scalars import Polynomial, poly_gcd
+
+n, = json.load(sys.stdin)
+gens = Polynomial.gens(["p%d" % i for i in range(1, n + 1)])
+one = Polynomial.const(1)
+squares = Polynomial.zero()
+for p in gens:
+    squares = squares + p * p
+print(json.dumps([str(poly_gcd(squares, squares + one)),
+                  poly_gcd((squares + one) * (squares + gens[0]),
+                           (squares + one) * (squares - gens[1]))
+                  == squares + one]))
+"""
+
+
+class TestGcdBound:
+    def test_a_sum_of_squares_and_one_more(self):
+        assert _run_with_timeout(_SQUARES_SCRIPT, [30]) == ["1", True]
+
+
 def _to_sympy(sympy, p):
     return sum((sympy.Rational(c.numerator, c.denominator)
                 * prod(sympy.Symbol(v) ** e for v, e in m.exps)
@@ -763,6 +790,21 @@ class TestSympyCrossCheck:
             q = random_nonzero_polynomial(rng, variables=NAMES)
             _assert_gcd_matches_sympy(sympy, p, p * q)
             _assert_gcd_matches_sympy(sympy, p * q, p)
+
+    def test_poly_gcd_past_the_xi_bound(self, rng, monkeypatch):
+        # with an _XI_BITS of 0 the primitive PRS takes every multi-term gcd
+        sympy = pytest.importorskip("sympy")
+        monkeypatch.setattr(scalars, "_XI_BITS", 0)
+        real, prs = scalars._prs_gcd, []
+        monkeypatch.setattr(scalars, "_prs_gcd",
+                            lambda p, q: prs.append(p) or real(p, q))
+        for _ in range(40):
+            common = random_polynomial(rng, max_terms=2, variables=NAMES)
+            p = random_nonzero_polynomial(rng, variables=NAMES)
+            q = random_nonzero_polynomial(rng, variables=NAMES)
+            _assert_gcd_matches_sympy(sympy, common * p, common * q)
+            _assert_gcd_matches_sympy(sympy, p, p * q)
+        assert prs
 
     # four variables; three up to degree 15; coefficients up to 10^6.  The
     # primitive PRS did not finish the four-variable draws in 90 s
