@@ -13,6 +13,16 @@ so the statement is exact on the open set where those denominators are
 nonzero; the report lists the constraints.  Every certificate is a residual
 scan: a lazy sequence of vectors that must vanish, one per basis pair (or
 basis vector, or spanning pair), whose first nonzero member is the witness.
+
+mul and apply_map (and so compose, the certificates, yau_twist and identity
+evaluation) compute each output coordinate with one multiply-accumulate,
+scalars._sums_of_products, when the table or map has only polynomial
+entries (its _poly flag, set once at construction; a Fraction such as the
+1/2 of a polarized table counts as polynomial) and so have the vector's
+coordinates.  A table or map with a real denominator, such as the alt4
+tables, and operands the kernel declines (two layouts, or a degree past
+the layout's fields) take the fold of Scalar products and sums instead,
+which cancels each denominator as it goes (Henrici).
 """
 
 from __future__ import annotations
@@ -27,7 +37,13 @@ from .errors import (
     SingularMap,
 )
 from .record import Record
-from .scalars import Scalar, _coerce, name_key, nonzero_constraints
+from .scalars import (
+    Scalar,
+    _coerce,
+    _sums_of_products,
+    name_key,
+    nonzero_constraints,
+)
 
 
 class Vector:
@@ -37,6 +53,13 @@ class Vector:
 
     def __init__(self, coords):
         self.coords = tuple(_coerce(c) for c in coords)
+
+    @classmethod
+    def _of(cls, coords):
+        """The vector of the Scalars coords, taken as they are."""
+        v = cls.__new__(cls)
+        v.coords = tuple(coords)
+        return v
 
     @classmethod
     def zero(cls, dim):
@@ -104,15 +127,17 @@ def _same_dim(u, v):
 
 
 class LinMap:
-    """Square matrix of Scalars; column j is the image of basis vector j."""
+    """Square matrix of Scalars; column j is the image of basis vector j.
+    _poly says whether every entry has denominator 1 (see apply_map)."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("rows", "_poly")
 
     def __init__(self, rows):
         self.rows = tuple(tuple(_coerce(x) for x in row) for row in rows)
         n = len(self.rows)
         if any(len(row) != n for row in self.rows):
             raise DimensionMismatch("linear map matrix must be square")
+        self._poly = _polynomial(self.scalars())
 
     @classmethod
     def diagonal(cls, entries):
@@ -149,11 +174,22 @@ def identity(n):
     return LinMap.diagonal([Scalar.one()] * n)
 
 
+def _polynomial(scalars):
+    """Has every one of scalars denominator 1?"""
+    return all(s.den.is_one() for s in scalars)
+
+
 def apply_map(f, v):
     if f.dim != v.dim:
         raise DimensionMismatch("map dimension %d vs vector dimension %d"
                                 % (f.dim, v.dim))
     support = [(j, c) for j, c in enumerate(v.coords) if not c.is_zero()]
+    if f._poly and _polynomial(c for _, c in support):
+        out = _sums_of_products([[(row[j], c) for j, c in support
+                                  if not row[j].is_zero()]
+                                 for row in f.rows])
+        if out is not None:
+            return Vector._of(out)
     out = []
     for row in f.rows:
         acc = Scalar.zero()
@@ -280,11 +316,12 @@ class AlgebraSpec:
     params are Param declarations.  mu is a sparse mapping
     (i, j) -> {k: Scalar}; omitted products are zero.  alpha, when present,
     is the twisting map of the Hom-structure.  unit is an optional basis
-    index.
+    index.  _poly says whether every structure constant has denominator 1
+    (see mul).
     """
 
     __slots__ = ("name", "dim", "basis", "params", "mu", "alpha", "unit",
-                 "_table")
+                 "_table", "_poly")
 
     def __init__(self, name, dim, basis, params=(), mu=(), alpha=None, unit=None):
         self.name = name
@@ -318,6 +355,7 @@ class AlgebraSpec:
             entries.append((i, j, k, c))
         entries.sort(key=lambda e: e[:3])
         self.mu = tuple(entries)
+        self._poly = _polynomial(self.mu_scalars())
 
         if alpha is not None and alpha.dim != dim:
             raise DimensionMismatch("twisting map dimension %d vs algebra dimension %d"
@@ -413,6 +451,18 @@ def mul(A, u, v):
     """Bilinear product of two vectors via the structure constants."""
     if u.dim != A.dim or v.dim != A.dim:
         raise DimensionMismatch("vector dimensions do not match the algebra")
+    if A._poly and _polynomial(u.coords) and _polynomial(v.coords):
+        us = [None if c.is_zero() else c for c in u.coords]
+        vs = [None if c.is_zero() else c for c in v.coords]
+        rows = [[] for _ in range(A.dim)]
+        for (i, j), ks in A._table.items():
+            ui, vj = us[i], vs[j]
+            if ui is not None and vj is not None:
+                for k, c in ks:
+                    rows[k].append((c, ui, vj))
+        coords = _sums_of_products(rows)
+        if coords is not None:
+            return Vector._of(coords)
     coords = [Scalar.zero()] * A.dim
     for (i, j), ks in A._table.items():
         ui = u.coords[i]

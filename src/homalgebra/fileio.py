@@ -82,11 +82,20 @@ def loads(text, source="<string>"):
                                   % (source, where, label))
         return index[label]
 
+    # each distinct scalar string is parsed once per file: Scalars are
+    # immutable, so its entries can share the value
+    parsed = {}
+
     def parse(expr, where):
-        try:
-            return parse_scalar_expr(expr, param_names)
-        except (ParseError, DivisionByZero) as exc:
-            raise ValidationError("%s: %s: %s" % (source, where, exc)) from None
+        value = parsed.get(expr)
+        if value is None:
+            try:
+                value = parse_scalar_expr(expr, param_names)
+            except (ParseError, DivisionByZero) as exc:
+                raise ValidationError("%s: %s: %s"
+                                      % (source, where, exc)) from None
+            parsed[expr] = value
+        return value
 
     mu = []
     for pos, entry in enumerate(_need(doc, "mu", list, source, default=[])):

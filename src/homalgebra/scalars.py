@@ -44,6 +44,13 @@ gcd of its denominators and at most one more with that (Henrici), never one
 gcd of the multiplied-out result; a sum with a polynomial operand takes none.
 A gcd of two multi-term polynomials is GCDHEU (poly_gcd) while its
 evaluation point stays under _XI_BITS bits, and the primitive PRS past it.
+
+A vector product or a map image is a sum of products per coordinate.  When
+every factor has denominator 1, _sums_of_products multiplies out a whole
+coordinate into one {key: coefficient} dict and builds one Scalar from it;
+it declines (returns None) when two non-constant factors are in different
+layouts or a term product would overflow its layout, and the caller then
+folds Scalar products and sums as it does for rational factors.
 """
 
 from __future__ import annotations
@@ -1179,6 +1186,55 @@ def _product(a, b, c, d):
     g2 = poly_gcd(c, b)
     return Scalar._make(exact_div(a, g1) * exact_div(c, g2),
                         exact_div(b, g2) * exact_div(d, g1))
+
+
+def _sums_of_products(rows):
+    """The Scalars sum(prod(factors) for factors in row), one per row, for
+    tuples of two or more factors that are Scalars with denominator 1: the
+    multiply-accumulate of a vector product or a map image, one coordinate
+    per row.
+
+    Each row's term products go into one {key: coefficient} dict, with one
+    _q per coefficient at the end, in place of a chain of Scalar products
+    and sums that copies the growing sum at each term (Johnson 1974).
+    Returns None, for the caller to take the Scalar fold instead, when two
+    non-constant factors are in different layouts, or when a term product
+    reaches its layout's limit: each key is below it, so a product whose
+    degree would overflow the fields sums to a key at or above the limit,
+    and one whose degree does not stays below it.
+    """
+    ring = None
+    out = []
+    for row in rows:
+        acc = {}
+        get = acc.get
+        for factors in row:
+            # part: the terms of the factors before last, multiplied out
+            part = last = None
+            for s in factors:
+                p = s.num
+                t = p.terms
+                if (p.ring is not ring and p.ring is not _EMPTY
+                        and not _is_const(t)):
+                    if ring is not None:
+                        return None
+                    ring = p.ring
+                if last is not None:
+                    part = last if part is None else [
+                        (k1 + k2, c1 * c2) for k1, c1 in part
+                        for k2, c2 in last]
+                last = t.items()
+            for k1, c1 in part:
+                for k2, c2 in last:
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        if ring is not None and ring.limit and acc and max(acc) >= ring.limit:
+            return None
+        terms = {k: c if c.__class__ is int else _q(c)
+                 for k, c in acc.items() if c}
+        out.append(Scalar._make(_raw(terms, ring or _EMPTY), _ONE)
+                   if terms else _S_ZERO)
+    return out
 
 
 def nonzero_constraints(poly):
