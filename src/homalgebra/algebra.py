@@ -179,11 +179,16 @@ def _polynomial(scalars):
     return all(s.den.is_one() for s in scalars)
 
 
+def _support(v):
+    """The (index, coordinate) pairs of v's nonzero coordinates."""
+    return [(j, c) for j, c in enumerate(v.coords) if not c.is_zero()]
+
+
 def apply_map(f, v):
     if f.dim != v.dim:
         raise DimensionMismatch("map dimension %d vs vector dimension %d"
                                 % (f.dim, v.dim))
-    support = [(j, c) for j, c in enumerate(v.coords) if not c.is_zero()]
+    support = _support(v)
     if f._poly and _polynomial(c for _, c in support):
         out = _sums_of_products([[(row[j], c) for j, c in support
                                   if not row[j].is_zero()]
@@ -451,18 +456,18 @@ def mul(A, u, v):
     """Bilinear product of two vectors via the structure constants."""
     if u.dim != A.dim or v.dim != A.dim:
         raise DimensionMismatch("vector dimensions do not match the algebra")
-    if A._poly and _polynomial(u.coords) and _polynomial(v.coords):
-        us = [None if c.is_zero() else c for c in u.coords]
-        vs = [None if c.is_zero() else c for c in v.coords]
-        rows = [[] for _ in range(A.dim)]
-        for (i, j), ks in A._table.items():
-            ui, vj = us[i], vs[j]
-            if ui is not None and vj is not None:
-                for k, c in ks:
-                    rows[k].append((c, ui, vj))
-        coords = _sums_of_products(rows)
-        if coords is not None:
-            return Vector._of(coords)
+    if A._poly:
+        us, vs = _support(u), _support(v)
+        if _polynomial(c for _, c in us) and _polynomial(c for _, c in vs):
+            rows = {}
+            table = A._table
+            for i, ui in us:
+                for j, vj in vs:
+                    for k, c in table.get((i, j), ()):
+                        rows.setdefault(k, []).append((c, ui, vj))
+            coords = _sums_of_products(map(rows.get, range(A.dim)))
+            if coords is not None:
+                return Vector._of(coords)
     coords = [Scalar.zero()] * A.dim
     for (i, j), ks in A._table.items():
         ui = u.coords[i]

@@ -985,7 +985,7 @@ class Scalar:
 
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.num.terms
 
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
@@ -1206,6 +1206,9 @@ def _sums_of_products(rows):
     ring = None
     out = []
     for row in rows:
+        if not row:
+            out.append(_S_ZERO)
+            continue
         acc = {}
         get = acc.get
         for factors in row:

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from homalgebra import catalog
+from homalgebra import algebra as algebra_module
+from homalgebra import catalog, scalars
 from homalgebra.algebra import (
     AlgebraSpec,
     LinMap,
@@ -482,3 +483,282 @@ class TestCertificatesAgainstReference:
                   for f in _maps(entry).values()]
         for n, (S, T, f) in enumerate(cases):
             assert _fields(is_morphism(S, T, f)) == reference_morphism(S, T, f), n
+
+
+# --- the multiply-accumulate kernel against a Scalar fold ----------------------
+#
+# mul and apply_map sum each output coordinate of a polynomial table or map in
+# scalars._sums_of_products.  The references below are plain Scalar + and *
+# folds over each coordinate, every product in turn, zeros included.
+
+
+def _fold_mul(A, u, v):
+    coords = [Scalar.zero()] * A.dim
+    for i, j, k, c in A.mu:
+        coords[k] = coords[k] + c * u[i] * v[j]
+    return coords
+
+
+def _fold_apply(f, v):
+    return [sum((f.entry(i, j) * v[j] for j in range(f.dim)), Scalar.zero())
+            for i in range(f.dim)]
+
+
+def _fold_compose(f, g):
+    return [[sum((f.entry(i, m) * g.entry(m, j) for m in range(f.dim)),
+                 Scalar.zero()) for j in range(f.dim)] for i in range(f.dim)]
+
+
+def _assert_same(got, want):
+    assert list(got) == want
+    assert [hash(c) for c in got] == [hash(c) for c in want]
+    assert [str(c) for c in got] == [str(c) for c in want]
+
+
+@pytest.fixture
+def kernel(monkeypatch):
+    """What each call of the kernel returned: its Scalars, or None where it
+    declined and the fold ran."""
+    calls = []
+
+    def spy(rows):
+        out = scalars._sums_of_products(rows)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(algebra_module, "_sums_of_products", spy)
+    return calls
+
+
+def _draw(rng, gens, coeffs, terms=3):
+    """A random polynomial Scalar of up to `terms` terms over gens."""
+    out = Scalar.zero()
+    for _ in range(rng.randint(0, terms)):
+        t = Scalar.from_fraction(rng.choice(coeffs))
+        for g in rng.sample(gens, rng.randint(0, min(2, len(gens)))):
+            t = t * g ** rng.randint(1, 2)
+        out = out + t
+    return out
+
+
+def _random_case(rng, gens, coeffs, dim):
+    """A sparse table, a map and two vectors with entries drawn over gens."""
+    def draw():
+        return _draw(rng, gens, coeffs) if rng.random() < 0.7 else \
+            Scalar.zero()
+    mu = [(i, j, k, draw()) for i in range(dim) for j in range(dim)
+          for k in range(dim) if rng.random() < 0.5]
+    params = [Param(n) for n in sorted(set().union(
+        *(g.variables() for g in gens)))]
+    A = AlgebraSpec("draw", dim, ["e%d" % i for i in range(dim)], params, mu)
+    f = LinMap([[draw() for _ in range(dim)] for _ in range(dim)])
+    g = LinMap([[draw() for _ in range(dim)] for _ in range(dim)])
+    u = Vector([draw() for _ in range(dim)])
+    v = Vector([draw() for _ in range(dim)])
+    return A, f, g, u, v
+
+
+def _assert_all_match(A, f, g, u, v):
+    _assert_same(mul(A, u, v).coords, _fold_mul(A, u, v))
+    _assert_same(mul(A, v, v).coords, _fold_mul(A, v, v))
+    _assert_same(apply_map(f, u).coords, _fold_apply(f, u))
+    h = compose(f, g)
+    for row, want in zip(h.rows, _fold_compose(f, g)):
+        _assert_same(row, want)
+
+
+INTS = (-3, -2, -1, 1, 2, 3)
+FRACTIONS = INTS + (Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2),
+                    Fraction(2, 3), Fraction(-1, 3))
+
+
+class TestMultiplyAccumulate:
+    @pytest.mark.parametrize("coeffs", [INTS, FRACTIONS],
+                             ids=["int", "fraction"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_one_layout_matches_the_fold(self, kernel, seed, coeffs):
+        rng = random.Random(1600 + seed)
+        gens = Scalar.gens(["a", "b", "x1", "x2", "x3"])
+        A, f, g, u, v = _random_case(rng, gens, coeffs, rng.randint(1, 4))
+        assert A._poly and f._poly and g._poly
+        _assert_all_match(A, f, g, u, v)
+        assert kernel and None not in kernel
+
+    def test_fractions_cancel_to_an_integer_or_to_zero(self, kernel):
+        x0, x1 = Scalar.gens(["x0", "x1"])
+        x = Vector([x0, x1])
+        half = Fraction(1, 2)
+        # the polarized table of mu(e0, e1) = e0: 1/2 x0 x1 + 1/2 x1 x0
+        P = polarize(AlgebraSpec("t", 2, ["e0", "e1"], mu=[(0, 1, 0, 1)]))
+        got = mul(P, x, x)
+        _assert_same(got.coords, _fold_mul(P, x, x))
+        assert got[0] == x0 * x1
+        assert [type(c) for c in got[0].num.monomials().values()] == [int]
+        # 1/2 x0 x1 - 1/2 x1 x0
+        Z = AlgebraSpec("t", 2, ["e0", "e1"],
+                        mu=[(0, 1, 0, half), (1, 0, 0, -half)])
+        got = mul(Z, x, x)
+        _assert_same(got.coords, _fold_mul(Z, x, x))
+        assert got.is_zero()
+        # 3/2 + 1/2 is the int 2, and 2/3 + 2/3 stays a Fraction
+        f = LinMap([[Fraction(3, 2), half], [Fraction(2, 3), Fraction(2, 3)]])
+        got = apply_map(f, Vector([x0, x0]))
+        _assert_same(got.coords, _fold_apply(f, Vector([x0, x0])))
+        assert [type(c) for c in got[0].num.monomials().values()] == [int]
+        assert [type(c) for c in got[1].num.monomials().values()] == \
+            [Fraction]
+        assert None not in kernel
+
+    def test_two_layouts_take_the_fold(self, kernel):
+        rng = random.Random(1620)
+        xs = Scalar.gens(["x1", "x2", "x3"])
+        ys = Scalar.gens(["y1", "y2", "y3"])   # a layout of their own
+        assert xs[0].num.ring is not ys[0].num.ring
+        A, f, g, u, _ = _random_case(rng, xs, INTS, 3)
+        v = Vector(ys)
+        _assert_same(mul(A, u, v).coords, _fold_mul(A, u, v))
+        _assert_same(apply_map(f, v).coords, _fold_apply(f, v))
+        assert None in kernel
+        assert scalars._sums_of_products([[(xs[0], ys[0])]]) is None
+        # a constant is the key 0 of every layout
+        assert scalars._sums_of_products(
+            [[(Scalar.from_fraction(2), ys[0]), (xs[1], Scalar.one())]]) \
+            is None
+        one = scalars._sums_of_products([[(Scalar.from_fraction(2), ys[0])]])
+        assert one == [ys[0] * 2]
+
+    def test_a_product_past_the_layout_limit_takes_the_fold(self, kernel):
+        s, t = Scalar.gens(["s", "t"])
+        u, v = Vector([s ** 70]), Vector([t ** 70])
+        ring = u[0].num.ring
+        assert v[0].num.ring is ring and 70 < ring.cap <= 140
+        A = AlgebraSpec("one", 1, ["e0"], mu=[(0, 0, 0, 1)])
+        got = mul(A, u, v)
+        _assert_same(got.coords, _fold_mul(A, u, v))
+        assert got[0] == s ** 70 * t ** 70
+        assert kernel == [None]
+        # just under the limit the kernel keeps the layout
+        u, v = Vector([s ** 60]), Vector([t ** 60])
+        got = mul(A, u, v)
+        _assert_same(got.coords, _fold_mul(A, u, v))
+        assert kernel[1] is not None and got[0].num.ring is ring
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_wide_layout(self, kernel, seed):
+        names = ["p%d" % i for i in range(130)]
+        gens = Scalar.gens(names)
+        assert gens[0].num.ring.limit == 0   # keys are tuples, never overflow
+        rng = random.Random(1630 + seed)
+        A, f, g, u, v = _random_case(rng, rng.sample(gens, 8), FRACTIONS, 3)
+        _assert_all_match(A, f, g, u, v)
+        assert kernel and None not in kernel
+
+    def test_zero_and_constant_vectors(self, kernel, octonions):
+        A = octonions.algebra
+        zero = Vector.zero(A.dim)
+        c = Vector([Scalar.from_fraction(Fraction(i - 3, 2)) for i in range(8)])
+        for u, v in ((zero, c), (c, zero), (zero, zero), (c, c)):
+            _assert_same(mul(A, u, v).coords, _fold_mul(A, u, v))
+        f = LinMap([[Fraction(i * j - 5, 3) for j in range(8)]
+                    for i in range(8)])
+        for v in (zero, c):
+            _assert_same(apply_map(f, v).coords, _fold_apply(f, v))
+        assert mul(A, zero, c).is_zero()
+        assert kernel and None not in kernel
+
+    def test_a_rational_table_takes_the_fold(self, kernel):
+        A = catalog.get("alt4_mu1_twist_alpha1").algebra
+        assert not A._poly and not A.alpha._poly
+        rng = random.Random(1640)
+        gens = Scalar.gens(["a", "b", "x1", "x2"])
+        u, v = (Vector([_draw(rng, gens, FRACTIONS) for _ in range(A.dim)])
+                for _ in range(2))
+        _assert_same(mul(A, u, v).coords, _fold_mul(A, u, v))
+        _assert_same(apply_map(A.alpha, u).coords, _fold_apply(A.alpha, u))
+        for row, want in zip(compose(A.alpha, A.alpha).rows,
+                             _fold_compose(A.alpha, A.alpha)):
+            _assert_same(row, want)
+        assert kernel == []
+
+    def test_a_rational_vector_takes_the_fold(self, kernel, octonions):
+        A = octonions.algebra
+        u = Vector([S("a") / (S("a") + 1)] + [S("b")] * 7)
+        v = Vector([S("a")] * 8)
+        _assert_same(mul(A, u, v).coords, _fold_mul(A, u, v))
+        _assert_same(apply_map(identity(8), u).coords,
+                     _fold_apply(identity(8), u))
+        assert kernel == []
+
+
+# --- the _poly flag on every construction route -------------------------------
+
+
+def _all_polynomial(scalars_):
+    return all(s.den.is_one() for s in scalars_)
+
+
+def _assert_flags(A):
+    assert A._poly == _all_polynomial(A.mu_scalars())
+    if A.alpha is not None:
+        assert A.alpha._poly == _all_polynomial(A.alpha.scalars())
+
+
+class TestPolyFlag:
+    def test_algebra_routes(self, h3, mu1):
+        a, b = S("a"), S("b")
+        A = AlgebraSpec("t", 2, ["e0", "e1"], params=[Param("a"), Param("b")],
+                        mu=[(0, 0, 0, a), (0, 1, 1, b / a), (1, 0, 1, 1)])
+        _assert_flags(A)
+        assert not A._poly
+        # a substitution removes the denominator: b/a at a = 2 is b/2
+        B = A.substitute({"a": 2})
+        _assert_flags(B)
+        assert B._poly
+        assert not A.substitute({"b": 3})._poly
+        assert A.substitute({"b": 0})._poly
+        f = LinMap.diagonal([a, a])
+        for C in (B.with_alpha(f), B.with_alpha(LinMap.diagonal([1 / a, a])),
+                  opposite(A), opposite(B), polarize(A), polarize(B),
+                  h3.algebra, mu1.algebra, polarize(h3.algebra),
+                  opposite(h3.algebra)):
+            _assert_flags(C)
+        assert polarize(B)._poly           # 1/2 is polynomial
+        assert polarize(h3.algebra)._poly
+        assert mu1.algebra._poly
+        assert not mu1.maps["alpha1"]._poly
+        T = catalog.get("alt4_mu1_twist_alpha1").algebra
+        _assert_flags(T)
+        assert not T._poly
+        # the twist of a polynomial table by a polynomial map is polynomial;
+        # its untwist divides by a
+        P = AlgebraSpec("p", 2, ["e0", "e1"], params=[Param("a")],
+                        mu=[(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)])
+        T = yau_twist(P, LinMap.diagonal([1, a]))
+        _assert_flags(T)
+        assert T._poly and T.alpha._poly
+        U = untwist(T)
+        _assert_flags(U)
+        assert U.same_table(P) and U._poly
+        V = untwist(yau_twist(P, LinMap.diagonal([1, a]), force=True)
+                    .with_alpha(LinMap.diagonal([a, a])))
+        _assert_flags(V)
+        assert not V._poly                 # mu / a
+        W = yau_twist(P, LinMap.diagonal([1, 1 / a]))
+        _assert_flags(W)
+        assert not W._poly and not W.alpha._poly
+
+    def test_map_routes(self):
+        a = S("a")
+        f = LinMap.diagonal([2, a])
+        assert f._poly
+        inv = invert(f)
+        assert inv.rows[0][0] == Fraction(1, 2) and not inv._poly
+        assert invert(LinMap.diagonal([2, 3]))._poly   # 1/2 and 1/3
+        for m in (inv, compose(f, f), compose(f, inv), compose(inv, inv),
+                  inv.substitute({"a": 3}), f.substitute({"a": 0}),
+                  identity(3)):
+            assert m._poly == _all_polynomial(m.scalars())
+        assert compose(f, f)._poly
+        assert compose(f, inv)._poly               # the identity
+        assert not compose(inv, inv)._poly
+        assert inv.substitute({"a": 3})._poly      # 1/a at a = 3 is 1/3

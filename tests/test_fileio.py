@@ -9,6 +9,7 @@ from homalgebra import catalog
 from homalgebra.algebra import AlgebraSpec, LinMap, Param, mul
 from homalgebra.errors import ParseError, ValidationError
 from homalgebra.fileio import load, loads, save, saves
+from homalgebra.parser import parse_scalar_expr
 from homalgebra.identities import builtin_names, check_builtin
 from homalgebra.scalars import Monomial, Polynomial, Scalar
 
@@ -62,6 +63,43 @@ def test_undeclared_parameter_rejected():
     with pytest.raises(ValidationError) as exc:
         loads(text)
     assert "q" in str(exc.value)
+
+
+def test_each_distinct_scalar_string_is_parsed_once_per_file(monkeypatch):
+    from homalgebra import fileio
+    parsed = []
+
+    def counting(text, params):
+        parsed.append(text)
+        return parse_scalar_expr(text, params)
+
+    monkeypatch.setattr(fileio, "parse_scalar_expr", counting)
+    text = json.dumps({
+        "name": "t", "dim": 2, "basis": ["x", "y"],
+        "params": [{"name": "a", "nonzero": False}],
+        "mu": [{"i": "x", "j": "x", "value": {"x": "a/2", "y": "1"}},
+               {"i": "x", "j": "y", "value": {"y": "a/2"}},
+               {"i": "y", "j": "x", "value": {"y": "1"}}],
+        "maps": {"f": [["1", "0"], ["0", "a/2"]]},
+    })
+    A = loads(text).algebra
+    assert sorted(parsed) == ["0", "1", "a/2"]
+    assert A.mu[0][3] == Scalar.var("a") / 2
+    # the memo lives for one call only
+    loads(text)
+    assert sorted(parsed) == ["0", "0", "1", "1", "a/2", "a/2"]
+
+
+def test_a_bad_scalar_string_fails_at_its_first_occurrence():
+    text = json.dumps({
+        "name": "bad", "dim": 1, "basis": ["x"],
+        "mu": [{"i": "x", "j": "x", "value": {"x": "1 +"}}],
+        "maps": {"f": [["1 +"]]},
+    })
+    with pytest.raises(ValidationError) as exc:
+        loads(text)
+    message = str(exc.value)
+    assert "mu[0].value[x]" in message and "maps[f]" not in message
 
 
 @pytest.mark.parametrize("values", [("1", "2"), ("0", "1"), ("1", "0")])
