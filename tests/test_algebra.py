@@ -739,8 +739,7 @@ class TestPolyFlag:
         U = untwist(T)
         _assert_flags(U)
         assert U.same_table(P) and U._poly
-        V = untwist(yau_twist(P, LinMap.diagonal([1, a]), force=True)
-                    .with_alpha(LinMap.diagonal([a, a])))
+        V = untwist(P.with_alpha(LinMap.diagonal([a, a])))
         _assert_flags(V)
         assert not V._poly                 # mu / a
         W = yau_twist(P, LinMap.diagonal([1, 1 / a]))

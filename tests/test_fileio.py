@@ -5,7 +5,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homalgebra import catalog
+from homalgebra import catalog, fileio
 from homalgebra.algebra import AlgebraSpec, LinMap, Param, mul
 from homalgebra.errors import ParseError, ValidationError
 from homalgebra.fileio import load, loads, save, saves
@@ -66,7 +66,6 @@ def test_undeclared_parameter_rejected():
 
 
 def test_each_distinct_scalar_string_is_parsed_once_per_file(monkeypatch):
-    from homalgebra import fileio
     parsed = []
 
     def counting(text, params):
