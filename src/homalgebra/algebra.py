@@ -362,18 +362,25 @@ class AlgebraSpec:
         self.mu = tuple(entries)
         self._poly = _polynomial(self.mu_scalars())
 
-        if alpha is not None and alpha.dim != dim:
-            raise DimensionMismatch("twisting map dimension %d vs algebra dimension %d"
-                                    % (alpha.dim, dim))
-        self.alpha = alpha
+        self.alpha = _twist_map(alpha, dim)
         if unit is not None and not (0 <= unit < dim):
             raise ValueError("unit index out of range")
         self.unit = unit
+        self._table = _table_of(self.mu)
 
-        table = {}
-        for i, j, k, c in self.mu:
-            table.setdefault((i, j), []).append((k, c))
-        self._table = table
+    def _copy(self, mu, alpha):
+        """This spec with the entries mu and the twist map alpha, where mu
+        holds the entries of self.mu in their order, each with an equal
+        scalar (such as one re-packed into another layout): the table was
+        validated when self was built, so only alpha's dimension is
+        checked."""
+        A = AlgebraSpec.__new__(AlgebraSpec)
+        A.name, A.dim, A.basis = self.name, self.dim, self.basis
+        A.params, A.unit, A._poly = self.params, self.unit, self._poly
+        A.mu = tuple(mu)
+        A.alpha = _twist_map(alpha, self.dim)
+        A._table = _table_of(A.mu)
+        return A
 
     # -- construction helpers ----------------------------------------------
 
@@ -415,8 +422,7 @@ class AlgebraSpec:
         return tuple(p.name for p in self.params)
 
     def with_alpha(self, alpha):
-        return AlgebraSpec(self.name, self.dim, self.basis, self.params,
-                           self.mu, alpha, self.unit)
+        return self._copy(self.mu, alpha)
 
     def with_identity_alpha(self):
         return self.with_alpha(identity(self.dim))
@@ -447,6 +453,23 @@ class AlgebraSpec:
         return "AlgebraSpec(%r, dim=%d, %d products%s)" % (
             self.name, self.dim, len(self.mu),
             ", twisted" if self.alpha else "")
+
+
+def _twist_map(alpha, dim):
+    """alpha as the twist map of a dim-dimensional algebra: None or a map
+    of dimension dim; DimensionMismatch otherwise."""
+    if alpha is not None and alpha.dim != dim:
+        raise DimensionMismatch("twisting map dimension %d vs algebra dimension %d"
+                                % (alpha.dim, dim))
+    return alpha
+
+
+def _table_of(mu):
+    """{(i, j): [(k, c), ...]} of the entries mu, in their order."""
+    table = {}
+    for i, j, k, c in mu:
+        table.setdefault((i, j), []).append((k, c))
+    return table
 
 
 # --- operations -------------------------------------------------------------------

@@ -16,9 +16,15 @@ witness of a failure:
   basis   - the first basis tuple (last variable moving fastest) at which the
             identity fails.  Only for multilinear identities (each product
             monomial uses each variable exactly once), whose residual holds
-            the value at (b_i, b_j, ...) as the coefficient of x_i*y_j*...;
-            it is read by substituting 1 for x_i, y_j, ... and 0 for every
-            other generic coordinate.
+            the value at (b_i, b_j, ...) as the coefficient of x_i*y_j*....
+
+Both witnesses are read off the residual's packed keys: the layout's
+splitter cuts each key, once, into its generic part (one factor per
+variable) and the rest, a monomial in the parameters.  The basis tuple is
+the least over the generic parts, and its value is the sum of the terms
+whose generic part is x_i*y_j*..., with that part taken off.  A generic
+counterexample is a point at which some rest has a nonzero sum of its
+coefficients times their generic parts' values.
 
 The builtin catalog holds the twisted associativity, alternativity (plain
 and linearized), flexibility, associator alternation, commutativity, Jordan
@@ -30,11 +36,12 @@ on the first lookup.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
+from itertools import chain
 
 from .algebra import (
-    AlgebraSpec,
     CheckReport,
     LinMap,
     Vector,
@@ -65,7 +72,7 @@ from .parser import (
     parse_identity,
 )
 from .record import Record
-from .scalars import Scalar, shared_layout
+from .scalars import Scalar, _raw, normalize, shared_layout
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -133,6 +140,9 @@ def hom_associator(A, x, y, z):
 # --- multilinearity ------------------------------------------------------------------
 
 
+# cli picks the strategy with it and check gates the basis strategy on it,
+# so the same AST is asked twice per check
+@functools.lru_cache(maxsize=256)
 def is_multilinear(ast):
     """True iff every product monomial of the expanded body uses each
     variable exactly once."""
@@ -186,10 +196,11 @@ def _coordinate_names(A, variables, taken):
 
 
 def _generic_elements(A, variables, taken, uses_alpha):
-    """A and {var: generic element} for each of variables (see
-    _coordinate_names).  The coordinates share one layout with A's structure
-    constants (and its twist map when uses_alpha), which the returned A
-    holds re-packed into it, so an evaluation never re-packs a key."""
+    """A, the names of the generic coordinates of each of variables (see
+    _coordinate_names) and {var: generic element}.  The coordinates share
+    one layout with A's structure constants (and its twist map when
+    uses_alpha), which the returned A holds re-packed into it, so an
+    evaluation never re-packs a key."""
     names = _coordinate_names(A, variables, taken)
     scalars = list(A.mu_scalars())
     if uses_alpha:
@@ -202,9 +213,11 @@ def _generic_elements(A, variables, taken, uses_alpha):
             rest = packed[len(mu):]
             alpha = LinMap([rest[r * A.dim:(r + 1) * A.dim]
                             for r in range(A.dim)])
-        A = AlgebraSpec(A.name, A.dim, A.basis, A.params, mu, alpha, A.unit)
-    return A, {var: Vector(coords[n * A.dim:(n + 1) * A.dim])
-               for n, var in enumerate(variables)}
+        A = A._copy(mu, alpha)
+    cut = range(0, len(names), A.dim)
+    return (A, [names[n:n + A.dim] for n in cut],
+            {var: Vector._of(coords[n:n + A.dim])
+             for var, n in zip(variables, cut)})
 
 
 # --- checking -------------------------------------------------------------------------
@@ -232,68 +245,117 @@ def check(A, ast, strategy="generic"):
         A.mu_scalars(), A.alpha.scalars() if uses_alpha else None, coeffs)
     # generic coordinates must not capture a variable of a coefficient
     taken = set().union(*(c.variables() for c in coeffs))
-    A, bindings = _generic_elements(A, ast.vars, taken, uses_alpha)
+    A, names, bindings = _generic_elements(A, ast.vars, taken, uses_alpha)
     value = evaluate(A, ast, bindings)
     if value.is_zero():
         return CheckReport(_verdict(assumptions), None, assumptions)
     if strategy == "basis":
-        witness = _basis_witness(A, ast, bindings, value)
+        witness = _basis_witness(A, names, value)
     else:
         witness = _defect(None, A.basis, value,
-                          _find_specialization(value, bindings, A))
+                          _find_specialization(value, ast.vars, names))
     return CheckReport("fails", witness, assumptions)
 
 
-def _basis_witness(A, ast, bindings, value):
+def _basis_witness(A, names, value):
     """Witness at the lexicographically first failing basis tuple.
 
     Every numerator monomial of a multilinear residual holds exactly one
     generic coordinate of each variable, and its denominator holds none; so
-    setting x_i, y_j, ... to 1 and every other generic coordinate to 0 leaves
-    the value at (b_i, b_j, ...).
+    the value at (b_i, b_j, ...) is, in each coordinate, the sum of the
+    terms whose generic part is x_i*y_j*..., that part taken off, over the
+    coordinate's denominator.  The tuple is the least over the generic
+    parts of the residual's keys, each key split once.
     """
-    slot = {}
-    for p, v in enumerate(ast.vars):
-        for i, c in enumerate(bindings[v].coords):
-            (name,) = c.variables()
-            slot[name] = (p, i)
-    at = min(tuple(i for _, i in sorted(slot[name] for name in m.variables()
-                                        if name in slot))
-             for c in value.coords for m in c.num.monomials())
-    point = {name: int(at[p] == i) for name, (p, i) in slot.items()}
-    at_value = Vector([c.substitute(point) for c in value.coords])
+    tools = {}
+    rows = []
+    for c in value.coords:
+        layout = c.num.ring
+        if layout not in tools:
+            # the splitter, and the basis index of each generic coordinate
+            # as a part of a key in this layout
+            tools[layout] = (layout.splitter(names), [
+                {layout.power(n, 1): i for i, n in enumerate(ns)
+                 if n in layout.nameset} for ns in names])
+        split, index = tools[layout]
+        by_part = {}
+        for key, coeff in c.num.terms.items():
+            part, rest = split(key)
+            terms = by_part.get(part)
+            if terms is None:
+                terms = by_part[part] = {}
+            terms[rest] = coeff
+        rows.append((layout, {tuple(map(dict.__getitem__, index, part)): terms
+                              for part, terms in by_part.items()}))
+    at = min(t for _, row in rows for t in row)
+    at_value = Vector._of([normalize(_raw(row.get(at, {}), layout), c.den)
+                           for (layout, row), c in zip(rows, value.coords)])
     return _defect(tuple(A.basis[i] for i in at), A.basis, at_value)
 
 
-def _find_specialization(value, bindings, A):
+def _find_specialization(value, variables, names):
     """Small integer coordinates exhibiting a concrete counterexample.
 
     Substitutes the generic coordinates only; algebra parameters stay
-    symbolic.  Returns {var: coordinate tuple} or None if nothing small
-    works.
+    symbolic.  A coordinate's keys are split once, when a point first
+    reaches it, into their generic part and the rest; the point is a
+    counterexample when, for some rest, the coefficients times their
+    generic parts' values at the point sum to nonzero.  Returns
+    {var: coordinate tuple} or None if nothing small works.
     """
-    coord_vars = []
-    for vec in bindings.values():
-        for c in vec.coords:
-            coord_vars.extend(c.num.variables())
+    position = {n: p for p, n in enumerate(chain.from_iterable(names))}
+    nums = [c.num for c in value.coords if not c.is_zero()]
+    splitters = {}
+    split = []   # the nums split so far, each as its rests' terms
     rng = random.Random(20240901)
     pool = [0, 1, -1, 2, -2, 3]
     for attempt in range(_SPECIALIZATION_TRIES):
         if attempt == 0:
-            point = {v: Fraction(1) for v in coord_vars}
+            point = [1] * len(position)
         else:
-            point = {v: Fraction(rng.choice(pool)) for v in coord_vars}
-        for c in value.coords:
-            if c.is_zero():
-                continue
-            if not c.num.substitute(point).is_zero():
-                out = {}
-                for var, vec in bindings.items():
-                    out[var] = tuple(
-                        coord.num.substitute(point).constant_value()
-                        for coord in vec.coords)
-                return out
+            point = [rng.choice(pool) for _ in position]
+        values = {}   # each generic part's value at point
+        for n, num in enumerate(nums):
+            if n == len(split):
+                split.append(_terms_by_rest(num, names, splitters))
+            for terms in split[n]:
+                total = 0
+                for part, coeff in terms:
+                    v = values.get(part)
+                    if v is None:
+                        v = values[part] = _part_value(part, point, position)
+                    total += coeff * v
+                if total:
+                    return {var: tuple(Fraction(point[position[name]])
+                                       for name in ns)
+                            for var, ns in zip(variables, names)}
     return None
+
+
+def _terms_by_rest(num, names, splitters):
+    """num's terms grouped by their rest, as [(generic part, coefficient)]
+    lists; a part is its layout and its factors, one per variable of names
+    (see _Layout.splitter).  splitters holds one splitter per layout."""
+    layout = num.ring
+    split = splitters.get(layout)
+    if split is None:
+        split = splitters[layout] = layout.splitter(names)
+    by_rest = {}
+    for key, coeff in num.terms.items():
+        part, rest = split(key)
+        by_rest.setdefault(rest, []).append(((layout, part), coeff))
+    return list(by_rest.values())
+
+
+def _part_value(part, point, position):
+    """The value of a generic part at point, the values of the generic
+    coordinates at their positions."""
+    layout, factors = part
+    v = 1
+    for f in factors:
+        for name, e in layout.fields(f):
+            v *= point[position[name]] ** e
+    return v
 
 
 # --- builtin catalog ---------------------------------------------------------------------

@@ -34,8 +34,10 @@ shared_layout), so arithmetic among them never re-packs.  A layout whose
 keys would pass _PACK_BITS bits is wide (_Wide): its keys are tuples of
 only the variables a monomial uses, so a term's size follows its own
 variables, not the layout's.  Monomial is the public form of a monomial,
-built only where monomials enter or leave this module.  The zero and one
-polynomials and Scalars are shared constants.
+built only where monomials enter or leave this module; a caller that reads
+values off keys, as a check's witness does, splits them with the layout's
+splitter instead.  The zero and one polynomials and Scalars are shared
+constants.
 
 A power takes no gcd: num^n and den^n stay coprime when num and den are, so
 s ** n is canonical by construction once its denominator is made monic.  A
@@ -59,6 +61,7 @@ import re
 from fractions import Fraction
 from functools import total_ordering
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import neg
 
@@ -198,6 +201,29 @@ class _Layout:
     def monomial(self, key):
         return Monomial._canonical(self.fields(key), self.degree(key))
 
+    def splitter(self, groups):
+        """A function that splits a key into (parts, rest): for each of
+        groups, a tuple of names, the key of the factor of key in those
+        names, found with one mask per group, and rest, key divided by all
+        of them.  Names not in this layout are left out."""
+        shift, fmask, top, ones = self.shift, self.mask, self.top, self.ones
+        masks = [sum(fmask << shift[v] for v in names if v in shift)
+                 for names in groups]
+        low = top - self.width
+
+        def split(key):
+            parts = []
+            for m in masks:
+                f = key & m
+                if f:
+                    # times ones, the most significant field collects the
+                    # degree of f, as in gcd
+                    f += (f * ones >> low & fmask) << top
+                    key -= f
+                parts.append(f)
+            return tuple(parts), key
+        return split
+
 
 class _Key(tuple):
     """A monomial key of a wide layout: (degree, -r1, e1, -r2, e2, ...) for
@@ -325,6 +351,28 @@ class _Wide:
 
     def monomial(self, key):
         return Monomial._canonical(self.fields(key), self.degree(key))
+
+    def splitter(self, groups):
+        rank = self.rank
+        group = {-rank[v]: g for g, names in enumerate(groups)
+                 for v in names if v in rank}
+        n = len(groups)
+
+        def split(key):
+            if not key:
+                return (0,) * n, 0
+            # each part and the rest as [degree, -rank, exponent, ...]
+            parts = [[0] for _ in range(n)]
+            rest = [0]
+            for i in range(1, len(key), 2):
+                r, e = key[i], key[i + 1]
+                g = group.get(r)
+                out = rest if g is None else parts[g]
+                out += (r, e)
+                out[0] += e
+            return (tuple(_Key(p) if p[0] else 0 for p in parts),
+                    _Key(rest) if rest[0] else 0)
+        return split
 
 
 def _layout(names, degree=0):
@@ -1098,7 +1146,12 @@ def shared_layout(values, names=()):
     generic elements."""
     polys = [p for s in values if not (s.den.is_one() and s.num.is_constant())
              for p in (s.num, s.den)]
-    used = set(names).union(*(p.variables() for p in polys))
+    # each layout ORs the keys of its polynomials and decodes them once
+    terms = {}
+    for p in polys:
+        terms.setdefault(p.ring, []).append(p.terms)
+    used = set(names).union(*(ring.used(chain.from_iterable(ts))
+                              for ring, ts in terms.items()))
     layout = _layout(tuple(sorted(used, key=name_key)),
                      max(map(_degree, polys), default=0))
     packed = [s if s.den.is_one() and s.num.is_constant() else

@@ -366,6 +366,25 @@ class TestAlgebraSpecValidation:
         A = AlgebraSpec("ok", 2, ["x", "y"], mu=[(0, 0, 0, 0)])
         assert A.mu == ()
 
+    @pytest.mark.parametrize("key", catalog.list_keys())
+    def test_with_alpha_copies_the_validated_table(self, key):
+        # with_alpha skips the validation the table has passed: its copy
+        # equals a table built afresh, with every map of the entry and none
+        entry = catalog.get(key)
+        A = entry.algebra
+        for alpha in (None, *_maps(entry).values()):
+            copy = A.with_alpha(alpha)
+            fresh = AlgebraSpec(A.name, A.dim, A.basis, A.params, A.mu,
+                                alpha, A.unit)
+            assert copy == fresh
+            for field in ("mu", "_table", "_poly", "alpha", "params"):
+                assert getattr(copy, field) == getattr(fresh, field), field
+        assert A.with_identity_alpha().alpha == identity(A.dim)
+
+    def test_with_alpha_checks_the_dimension(self, h3):
+        with pytest.raises(DimensionMismatch, match="twisting map dimension"):
+            h3.algebra.with_alpha(identity(h3.algebra.dim + 1))
+
 
 # --- an independent reference for the certificates --------------------------
 #

@@ -2,11 +2,12 @@
 builtin catalog."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from homalgebra import catalog, identities
+from homalgebra import catalog, identities, scalars
 from homalgebra.algebra import (
     AlgebraSpec,
     LinMap,
@@ -23,6 +24,7 @@ from homalgebra.errors import (
     UnknownIdentity,
 )
 from homalgebra.identities import (
+    Alpha,
     Mu,
     Scale,
     Sum,
@@ -341,13 +343,14 @@ class TestStructuralProperties:
 def _odometer(A, ast):
     """Reference for the basis strategy, independent of the generic residual:
     evaluate on every basis tuple, the last variable moving fastest, and
-    return (at, coordinate, residual) of the first nonzero value, or None."""
+    return (at, coordinate, residual, value) of the first nonzero value, or
+    None."""
     for at in itertools.product(range(A.dim), repeat=len(ast.vars)):
         value = evaluate(A, ast, {v: A.basis_vector(i)
                                   for v, i in zip(ast.vars, at)})
         for k, c in enumerate(value.coords):
             if not c.is_zero():
-                return tuple(A.basis[i] for i in at), A.basis[k], c
+                return tuple(A.basis[i] for i in at), A.basis[k], c, value
     return None
 
 
@@ -360,18 +363,28 @@ def _x1_table():
         alpha=LinMap.diagonal([Scalar.one(), x1]))
 
 
+def _table(key):
+    if key == "x1_table":
+        return _x1_table()
+    A = catalog.get(key).algebra
+    return A if A.alpha is not None else A.with_identity_alpha()
+
+
+_TABLES = catalog.list_keys() + ("x1_table",)
 _MULTILINEAR = [n for n in builtin_names()
                 if all(is_multilinear(a) for a in builtin(n).asts)]
 
 
+@pytest.mark.parametrize("form", ["packed", "wide"])
 @pytest.mark.parametrize("name", _MULTILINEAR)
-@pytest.mark.parametrize("key", catalog.list_keys() + ("x1_table",))
-def test_basis_witness_matches_odometer(key, name):
-    if key == "x1_table":
-        A = _x1_table()
-    else:
-        A = catalog.get(key).algebra
-        A = A if A.alpha is not None else A.with_identity_alpha()
+@pytest.mark.parametrize("key", _TABLES)
+def test_basis_witness_matches_odometer(key, name, form, monkeypatch):
+    # the wide form checks with every layout made wide (a _PACK_BITS of 0,
+    # as the key_form fixture does), so the witness is read off tuple keys;
+    # the table is built first, so the catalog keeps its packed entries
+    A = _table(key)
+    if form == "wide":
+        monkeypatch.setattr(scalars, "_PACK_BITS", 0)
     for ast in builtin(name).asts:
         report = check(A, ast, "basis")
         expected = _odometer(A, ast)
@@ -380,7 +393,72 @@ def test_basis_witness_matches_odometer(key, name):
         else:
             w = report.witness
             assert report.verdict == "fails"
-            assert (w.at, w.coordinate, w.residual) == expected
+            assert (w.at, w.coordinate, w.residual,
+                    w.residual_vector) == expected
+            assert (isinstance(w.residual.num.ring, scalars._Wide)
+                    == (form == "wide"))
+
+
+def _substituting_specialization(value, bindings):
+    """The generic strategy's counterexample search as it read the residual
+    before it split keys: substitute each point into every coordinate."""
+    coord_vars = []
+    for vec in bindings.values():
+        for c in vec.coords:
+            coord_vars.extend(c.num.variables())
+    rng = random.Random(20240901)
+    pool = [0, 1, -1, 2, -2, 3]
+    for attempt in range(identities._SPECIALIZATION_TRIES):
+        if attempt == 0:
+            point = {v: Fraction(1) for v in coord_vars}
+        else:
+            point = {v: Fraction(rng.choice(pool)) for v in coord_vars}
+        for c in value.coords:
+            if c.is_zero():
+                continue
+            if not c.num.substitute(point).is_zero():
+                return {var: tuple(coord.num.substitute(point).constant_value()
+                                   for coord in vec.coords)
+                        for var, vec in bindings.items()}
+    return None
+
+
+@pytest.mark.parametrize("name", builtin_names())
+@pytest.mark.parametrize("key", _TABLES)
+def test_generic_witness_matches_substitution(key, name):
+    # every generic-strategy failure: the same counterexample as the
+    # substituting search, and one at which the residual does not vanish;
+    # commutativity fails at the first point, x = y, so it needs the rng
+    A = _table(key)
+    for ast in builtin(name).asts:
+        report = check(A, ast, "generic")
+        if report.holds:
+            continue
+        uses_alpha = any(isinstance(n, Alpha) for n in _subterms(ast.body))
+        packed, _, bindings = identities._generic_elements(
+            A, ast.vars, set(), uses_alpha)
+        value = evaluate(packed, ast, bindings)
+        assert report.witness.residual_vector == value
+        spec = report.witness.specialization
+        assert spec == _substituting_specialization(value, bindings)
+        assert spec is not None
+        point = {c.num.leading_monomial().exps[0][0]: x
+                 for var, vec in bindings.items()
+                 for c, x in zip(vec.coords, spec[var])}
+        assert not Vector([c.substitute(point) for c in value.coords]).is_zero()
+
+
+def test_generic_elements_copy_the_validated_table():
+    # the re-packed table is a copy of A that skips validation: it equals a
+    # table built from the same entries with validation
+    for key in catalog.list_keys():
+        A = _table(key)
+        packed, _, _ = identities._generic_elements(A, ("x", "y"), set(), True)
+        fresh = AlgebraSpec(A.name, A.dim, A.basis, A.params, packed.mu,
+                            packed.alpha, A.unit)
+        assert packed.mu == A.mu and packed.alpha == A.alpha
+        for field in ("mu", "_table", "_poly", "alpha", "params", "unit"):
+            assert getattr(packed, field) == getattr(fresh, field), field
 
 
 class TestGenericElements:

@@ -318,6 +318,48 @@ class TestGcdInternals:
             assert exact_div(common, quotient_of_common).is_constant()
 
 
+@pytest.mark.usefixtures("key_form")
+class TestSplitter:
+    # a layout's splitter cuts a key into its factor in each group of names
+    # and the rest; the parts and the rest multiply back to the key
+    GROUPS = (("x_1", "x_2", "x_10"), ("y_1", "y_2"), ("z_1",))
+    NAMES = ("a", "b", "x_1", "x_2", "x_10", "y_1", "y_2")
+
+    def test_parts_multiply_back(self, rng):
+        for _ in range(30):
+            p = random_polynomial(rng, max_terms=6, max_degree=3,
+                                  variables=self.NAMES)
+            layout = p.ring
+            split = layout.splitter(self.GROUPS)
+            for key in p.terms:
+                parts, rest = split(key)
+                assert len(parts) == len(self.GROUPS)
+                total = {}
+                for part, group in zip(parts, self.GROUPS):
+                    exps = layout.fields(part)
+                    assert {v for v, _ in exps} <= set(group)
+                    assert layout.degree(part) == sum(e for _, e in exps)
+                    for v, e in exps:
+                        total[v] = total.get(v, 0) + e
+                rest_exps = layout.fields(rest)
+                assert not {v for v, _ in rest_exps} & {
+                    v for g in self.GROUPS for v in g}
+                assert layout.degree(rest) == sum(e for _, e in rest_exps)
+                total.update(rest_exps)
+                assert total == dict(layout.fields(key))
+                assert sum(parts, rest) == key
+
+    def test_constant_and_absent_names(self):
+        # z_1 is in no layout here, and the constant key splits into zeros
+        p = Polynomial({Monomial({"a": 2, "x_2": 1}): 3, Monomial(): 1})
+        split = p.ring.splitter(self.GROUPS)
+        assert split(0) == ((0, 0, 0), 0)
+        key = max(p.terms)
+        (x, y, z), rest = split(key)
+        assert p.ring.fields(x) == (("x_2", 1),) and y == z == 0
+        assert p.ring.fields(rest) == (("a", 2),)
+
+
 def _random_den(rng):
     while True:
         d = random_nonzero_polynomial(rng, max_terms=2, max_degree=1)
