@@ -10,25 +10,26 @@ algebra, polarization, subalgebra closure and unit checks.
 Check results are CheckReports with verdict holds / holds-under-assumptions /
 fails.  "Under assumptions" means some scalar involved carries a denominator,
 so the statement is exact on the open set where those denominators are
-nonzero; the report lists the constraints.  Every certificate is a residual
-scan: a lazy sequence of vectors that must vanish, one per basis pair (or
-basis vector, or spanning pair), whose first nonzero member is the witness.
+nonzero; the report lists the constraints.  A certificate is an identity,
+checked as homalgebra.identities checks one: its residual on generic
+elements, computed once, with the first failing basis pair (or vector) read
+off its keys, so failing costs what holding does.  The subalgebra check
+scans its spanning pairs instead: its reduction modulo the span is not
+linear.
 
-mul and apply_map (and so compose, the certificates, yau_twist and identity
-evaluation) compute each output coordinate with one multiply-accumulate,
-scalars._sums_of_products, when the table or map has only polynomial
-entries (its _poly flag, set once at construction; a Fraction such as the
-1/2 of a polarized table counts as polynomial) and so have the vector's
-coordinates.  A table or map with a real denominator, such as the alt4
-tables, and operands the kernel declines (two layouts, or a degree past
-the layout's fields) take the fold of Scalar products and sums instead,
+mul and apply_map (and so all built on them) compute each output coordinate
+with one multiply-accumulate, scalars._sums_of_products, when the table or
+map has only polynomial entries (its _poly flag; a Fraction such as the 1/2
+of a polarized table counts) and so has the vector.  A real denominator, as
+in the alt4 tables, or operands the kernel declines (two layouts, or a
+degree past the layout's fields) take the fold of Scalar products and sums,
 which cancels each denominator as it goes (Henrici).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice
 
 from .errors import (
     DimensionMismatch,
@@ -40,9 +41,12 @@ from .record import Record
 from .scalars import (
     Scalar,
     _coerce,
+    _raw,
     _sums_of_products,
     name_key,
     nonzero_constraints,
+    normalize,
+    shared_layout,
 )
 
 
@@ -138,6 +142,14 @@ class LinMap:
         if any(len(row) != n for row in self.rows):
             raise DimensionMismatch("linear map matrix must be square")
         self._poly = _polynomial(self.scalars())
+
+    def _copy(self, scalars):
+        """This map with equal entries taken, row by row, from the iterator
+        scalars (such as re-packed ones), so _poly carries over."""
+        g = LinMap.__new__(LinMap)
+        g.rows = tuple(tuple(islice(scalars, self.dim)) for _ in self.rows)
+        g._poly = self._poly
+        return g
 
     @classmethod
     def diagonal(cls, entries):
@@ -306,8 +318,6 @@ def _collect_constraints(*sources):
     """Union of denominator constraints over scalars from the given sources."""
     seen = []
     for source in sources:
-        if source is None:
-            continue
         for s in source:
             for c in s.nonzero_constraints():
                 if c not in seen:
@@ -369,11 +379,9 @@ class AlgebraSpec:
         self._table = _table_of(self.mu)
 
     def _copy(self, mu, alpha):
-        """This spec with the entries mu and the twist map alpha, where mu
-        holds the entries of self.mu in their order, each with an equal
-        scalar (such as one re-packed into another layout): the table was
-        validated when self was built, so only alpha's dimension is
-        checked."""
+        """This spec with the entries mu, equal to self.mu's in their order
+        (such as re-packed ones), and the twist map alpha: the table was
+        validated when self was built, so only alpha's dimension is checked."""
         A = AlgebraSpec.__new__(AlgebraSpec)
         A.name, A.dim, A.basis = self.name, self.dim, self.basis
         A.params, A.unit, A._poly = self.params, self.unit, self._poly
@@ -506,38 +514,42 @@ def mul(A, u, v):
 
 
 def is_endomorphism(A, f):
-    """Does f(mu(bi, bj)) = mu(f bi, f bj) hold for all basis pairs?"""
+    """Does f(mu(x, y)) = mu(f x, f y) hold for all x, y?  See _morphism."""
     if f.dim != A.dim:
         raise DimensionMismatch("map dimension %d vs algebra dimension %d"
                                 % (f.dim, A.dim))
-    return _certify(_collect_constraints(A.mu_scalars(), f.scalars()),
-                    _product_residuals(A, A, f), A.basis)
+    return _morphism(A, A, f, False)
 
 
-def _product_residuals(A, B, f):
-    """f(mu_A(bi, bj)) - mu_B(f bi, f bj) at each basis pair, j fastest."""
-    images = [apply_map(f, A.basis_vector(j)) for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            yield ((A.basis[i], A.basis[j]),
-                   apply_map(f, A.product_on_basis(i, j))
-                   - mul(B, images[i], images[j]))
+def _morphism(A, B, f, twisted):
+    """f(mu_A(x, y)) = mu_B(f x, f y) on generic x, y and, if that holds
+    and twisted is set, f(alpha_A(x)) = alpha_B(f x); a witness is in A's
+    labels, its coordinate in B's."""
+    tables, g, names, v = _generic_elements(
+        (A,) if A is B else (A, B), "xy", (), twisted, f)
+    S, T, x, y = tables[0], tables[-1], v["x"], v["y"]
+    gx = apply_map(g, x)
+    value = apply_map(g, mul(S, x, y)) - mul(T, gx, apply_map(g, y))
+    alphas = ()
+    if twisted and value.is_zero():
+        alphas = (A.alpha.scalars(), B.alpha.scalars())
+        value = apply_map(g, apply_map(S.alpha, x)) - apply_map(T.alpha, gx)
+        names = names[:1]
+    return _certificate(_collect_constraints(
+        A.mu_scalars(), B.mu_scalars(), f.scalars(), *alphas),
+        value, names, A.basis, B.basis)
 
 
-def _certify(assumptions, residuals, labels):
-    """Report of a certificate: fails at the first nonzero vector of the
-    lazy (at, vector) residuals, with its witness; holds if none is."""
-    for at, diff in residuals:
-        if not diff.is_zero():
-            return CheckReport("fails", _defect(at, labels, diff), assumptions)
-    return CheckReport(_verdict(assumptions), None, assumptions)
+def _certificate(assumptions, value, names, at_labels, labels):
+    """Report of a residual on the generic coordinates names."""
+    if value.is_zero():
+        return CheckReport(_verdict(assumptions), None, assumptions)
+    return CheckReport("fails", _basis_witness(value, names, at_labels,
+                                               labels), assumptions)
 
 
 def _first_nonzero(vec):
-    for k, c in enumerate(vec.coords):
-        if not c.is_zero():
-            return k
-    raise ValueError("vector is zero")
+    return next(k for k, c in enumerate(vec.coords) if not c.is_zero())
 
 
 def _defect(at, labels, diff, specialization=None):
@@ -546,6 +558,81 @@ def _defect(at, labels, diff, specialization=None):
     k = _first_nonzero(diff)
     return Witness(at=at, coordinate=labels[k], residual=diff.coords[k],
                    residual_vector=diff, specialization=specialization)
+
+
+# --- generic elements --------------------------------------------------------
+
+
+def _generic_elements(tables, variables, taken=(), uses_alpha=False, f=None):
+    """The tables (one or two) and the map f (or None) copied into one
+    layout with the generic coordinates of variables, those names (a list
+    per variable) and {var: generic element}.  The layout holds the mu
+    entries, f's and, if uses_alpha, the twist maps', so an evaluation never
+    re-packs a key.  The coordinates of var are var_1, var_2, ..., each
+    prefixed with g until it avoids taken, the variables of those scalars
+    and every earlier name."""
+    dim = tables[0].dim
+    maps = [f] * (f is not None) + [T.alpha for T in tables] * uses_alpha
+    mus = [c for T in tables for c in T.mu_scalars()]
+    entries = [c for m in maps for c in m.scalars()]
+    # a table's constants use only its parameters; a map's are unchecked
+    avoid = set(taken).union(
+        *(T.param_names() for T in tables),
+        *(p.ring.names for c in entries for p in (c.num, c.den)))
+    names = []
+    for var in variables:
+        for i in range(dim):
+            name = "%s_%d" % (var, i + 1)
+            while name in avoid:
+                name = "g" + name
+            avoid.add(name)
+            names.append(name)
+    packed, coords = shared_layout(mus + entries, names)
+    packed = iter(packed)
+    mus = [[(i, j, k, next(packed)) for i, j, k, _ in T.mu] for T in tables]
+    maps = [m._copy(packed) for m in maps]
+    if f is not None:
+        f = maps.pop(0)
+    alphas = maps or [T.alpha for T in tables]
+    cut = range(0, len(names), dim)
+    return ([T._copy(mu, alpha) for T, mu, alpha in zip(tables, mus, alphas)],
+            f, [names[n:n + dim] for n in cut],
+            {var: Vector._of(coords[n:n + dim])
+             for var, n in zip(variables, cut)})
+
+
+def _basis_witness(value, names, at_labels, labels):
+    """Witness at the first failing basis tuple, in at_labels, of the
+    multilinear residual value on the generic coordinates names (a list per
+    variable), at its first nonzero coordinate, in labels.  Each numerator
+    monomial holds one generic coordinate of each variable, so the value at
+    (b_i, b_j, ...) is the sum of the terms whose generic part is
+    x_i*y_j*..., that part taken off, over the denominator; the tuple is
+    the least over the generic parts of the keys, each key split once."""
+    tools = {}
+    rows = []
+    for c in value.coords:
+        layout = c.num.ring
+        if layout not in tools:
+            # the splitter, and the basis index of each generic coordinate
+            # as a part of a key in this layout
+            tools[layout] = (layout.splitter(names), [
+                {layout.power(n, 1): i for i, n in enumerate(ns)
+                 if n in layout.nameset} for ns in names])
+        split, index = tools[layout]
+        by_part = {}
+        for key, coeff in c.num.terms.items():
+            part, rest = split(key)
+            terms = by_part.get(part)
+            if terms is None:
+                terms = by_part[part] = {}
+            terms[rest] = coeff
+        rows.append((layout, {tuple(map(dict.__getitem__, index, part)): terms
+                              for part, terms in by_part.items()}))
+    at = min(t for _, row in rows for t in row)
+    at_value = Vector._of([normalize(_raw(row.get(at, {}), layout), c.den)
+                           for (layout, row), c in zip(rows, value.coords)])
+    return _defect(tuple(at_labels[i] for i in at), labels, at_value)
 
 
 def yau_twist(A, f, force=False, name=None):
@@ -577,13 +664,9 @@ def untwist(A, name=None):
 
 def _mapped_products(A, f):
     """Structure constants (i, j, k, c) of the product f o mu."""
-    entries = []
-    for i, j in A._table:
-        image = apply_map(f, A.product_on_basis(i, j))
-        for k, c in enumerate(image.coords):
-            if not c.is_zero():
-                entries.append((i, j, k, c))
-    return entries
+    return [(i, j, k, c) for i, j in A._table for k, c in
+            enumerate(apply_map(f, A.product_on_basis(i, j)).coords)
+            if not c.is_zero()]
 
 
 def opposite(A, name=None):
@@ -606,34 +689,28 @@ def polarize(A, name=None):
 
 
 def is_morphism(A, B, f):
-    """f o mu_A = mu_B o (f x f) on basis pairs, and f o alpha_A = alpha_B o f
-    when both twist maps are present."""
+    """f o mu_A = mu_B o (f x f), and f o alpha_A = alpha_B o f when both
+    twist maps are present.  See _morphism."""
     if A.dim != B.dim or f.dim != A.dim:
         raise DimensionMismatch("morphism check needs equal dimensions")
-    report = _certify(
-        _collect_constraints(A.mu_scalars(), B.mu_scalars(), f.scalars()),
-        _product_residuals(A, B, f), B.basis)
-    if not report.holds or A.alpha is None or B.alpha is None:
-        return report
-    basis = [A.basis_vector(j) for j in range(A.dim)]
-    return _certify(
-        _collect_constraints(A.mu_scalars(), B.mu_scalars(), f.scalars(),
-                             A.alpha.scalars(), B.alpha.scalars()),
-        (((A.basis[j],), apply_map(f, apply_map(A.alpha, bj))
-          - apply_map(B.alpha, apply_map(f, bj))) for j, bj in enumerate(basis)),
-        B.basis)
+    return _morphism(A, B, f, A.alpha is not None and B.alpha is not None)
 
 
 def check_unit(A, u):
-    """Is u a two-sided unit: mul(u, bj) = bj = mul(bj, u) for all j?"""
+    """Is u a two-sided unit: mul(u, x) = x = mul(x, u) for all x?  A
+    failure is reported at its least basis vector, the left product first
+    when both fail there."""
     if u.dim != A.dim:
         raise DimensionMismatch("vector dimension does not match the algebra")
-    basis = [A.basis_vector(j) for j in range(A.dim)]
-    return _certify(
-        _collect_constraints(A.mu_scalars(), u.coords),
-        (((A.basis[j],), mul(A, *pair) - bj)
-         for j, bj in enumerate(basis) for pair in ((u, bj), (bj, u))),
-        A.basis)
+    (S,), _, names, v = _generic_elements(
+        (A,), "x", set().union(*(c.variables() for c in u.coords)))
+    x = v["x"]
+    assumptions = _collect_constraints(A.mu_scalars(), u.coords)
+    # min keeps the first of equals: the left product
+    return min((_certificate(assumptions, mul(S, *pair) - x, names, A.basis,
+                             A.basis) for pair in ((u, x), (x, u))),
+               key=lambda r: A.basis.index(r.witness.at[0]) if r.witness
+               else A.dim)
 
 
 # --- subalgebra closure -------------------------------------------------------
@@ -679,15 +756,17 @@ def is_subalgebra(A, gens):
         ech.insert(g)
     span = [("span#%d" % a, row) for a, (_, row) in enumerate(ech.rows)]
     assumptions = _collect_constraints(
-        A.mu_scalars(),
-        (c for g in gens for c in g.coords),
-        A.alpha.scalars() if A.alpha is not None else None,
-    )
+        A.mu_scalars(), (c for g in gens for c in g.coords),
+        A.alpha.scalars() if A.alpha is not None else ())
     assumptions = tuple(sorted(set(assumptions) | set(ech.pivot_constraints),
                                key=name_key))
-    images = chain(
-        (((a, b), mul(A, u, v)) for a, u in span for b, v in span),
-        (((a,), apply_map(A.alpha, u))
-         for a, u in (span if A.alpha is not None else ())))
-    return _certify(assumptions,
-                    ((at, ech.reduce(w)) for at, w in images), A.basis)
+    # a residual scan: the reduction modulo the span is not linear
+    for at, w in chain(
+            (((a, b), mul(A, u, v)) for a, u in span for b, v in span),
+            (((a,), apply_map(A.alpha, u))
+             for a, u in (span if A.alpha is not None else ()))):
+        diff = ech.reduce(w)
+        if not diff.is_zero():
+            return CheckReport("fails", _defect(at, A.basis, diff),
+                               assumptions)
+    return CheckReport(_verdict(assumptions), None, assumptions)

@@ -18,13 +18,13 @@ witness of a failure:
             monomial uses each variable exactly once), whose residual holds
             the value at (b_i, b_j, ...) as the coefficient of x_i*y_j*....
 
-Both witnesses are read off the residual's packed keys: the layout's
-splitter cuts each key, once, into its generic part (one factor per
-variable) and the rest, a monomial in the parameters.  The basis tuple is
-the least over the generic parts, and its value is the sum of the terms
-whose generic part is x_i*y_j*..., with that part taken off.  A generic
-counterexample is a point at which some rest has a nonzero sum of its
-coefficients times their generic parts' values.
+Both witnesses are read off the residual's keys, which the layout's
+splitter cuts into a generic part (one factor per variable) and the rest,
+a monomial in the parameters.  A generic counterexample is a point at which
+some rest has a nonzero sum of its coefficients times their generic parts'
+values.  The generic elements and the basis witness (_generic_elements,
+_basis_witness) live in homalgebra.algebra, whose endomorphism, morphism
+and unit certificates are identities checked the same way.
 
 The builtin catalog holds the twisted associativity, alternativity (plain
 and linearized), flexibility, associator alternation, commutativity, Jordan
@@ -43,10 +43,11 @@ from itertools import chain
 
 from .algebra import (
     CheckReport,
-    LinMap,
     Vector,
+    _certificate,
     _collect_constraints,
     _defect,
+    _generic_elements,
     _verdict,
     apply_map,
     compose,
@@ -72,7 +73,6 @@ from .parser import (
     parse_identity,
 )
 from .record import Record
-from .scalars import Scalar, _raw, normalize, shared_layout
 
 
 # --- evaluation --------------------------------------------------------------------
@@ -172,55 +172,14 @@ def _monomial_profiles(node):
     raise TypeError("unknown AST node %r" % (node,))
 
 
-# --- generic elements -----------------------------------------------------------------
+# --- checking -------------------------------------------------------------------------
 
 
 def generic_element(A, var, taken=()):
-    """Vector whose coordinates are fresh indeterminates for variable var."""
-    return Vector(Scalar.gens(_coordinate_names(A, [var], taken)))
+    """Vector whose coordinates are fresh indeterminates for variable var,
+    names that avoid A's parameters and taken (see _generic_elements)."""
+    return _generic_elements((A,), [var], taken)[3][var]
 
-
-def _coordinate_names(A, variables, taken):
-    """dim fresh names for each of variables, in turn, that avoid A's
-    parameters, taken and every earlier name."""
-    avoid = set(A.param_names()) | set(taken)
-    names = []
-    for var in variables:
-        for i in range(A.dim):
-            name = "%s_%d" % (var, i + 1)
-            while name in avoid:
-                name = "g" + name
-            avoid.add(name)
-            names.append(name)
-    return names
-
-
-def _generic_elements(A, variables, taken, uses_alpha):
-    """A, the names of the generic coordinates of each of variables (see
-    _coordinate_names) and {var: generic element}.  The coordinates share
-    one layout with A's structure constants (and its twist map when
-    uses_alpha), which the returned A holds re-packed into it, so an
-    evaluation never re-packs a key."""
-    names = _coordinate_names(A, variables, taken)
-    scalars = list(A.mu_scalars())
-    if uses_alpha:
-        scalars += A.alpha.scalars()
-    packed, coords = shared_layout(scalars, names)
-    if any(p is not s for p, s in zip(packed, scalars)):
-        mu = [(i, j, k, c) for (i, j, k, _), c in zip(A.mu, packed)]
-        alpha = A.alpha
-        if uses_alpha:
-            rest = packed[len(mu):]
-            alpha = LinMap([rest[r * A.dim:(r + 1) * A.dim]
-                            for r in range(A.dim)])
-        A = A._copy(mu, alpha)
-    cut = range(0, len(names), A.dim)
-    return (A, [names[n:n + A.dim] for n in cut],
-            {var: Vector._of(coords[n:n + A.dim])
-             for var, n in zip(variables, cut)})
-
-
-# --- checking -------------------------------------------------------------------------
 
 # random small-integer points tried for a generic-strategy counterexample
 _SPECIALIZATION_TRIES = 120
@@ -242,55 +201,17 @@ def check(A, ast, strategy="generic"):
     uses_alpha = A.alpha is not None and any(isinstance(n, Alpha)
                                              for n in nodes)
     assumptions = _collect_constraints(
-        A.mu_scalars(), A.alpha.scalars() if uses_alpha else None, coeffs)
+        A.mu_scalars(), A.alpha.scalars() if uses_alpha else (), coeffs)
     # generic coordinates must not capture a variable of a coefficient
     taken = set().union(*(c.variables() for c in coeffs))
-    A, names, bindings = _generic_elements(A, ast.vars, taken, uses_alpha)
+    (A,), _, names, bindings = _generic_elements(
+        (A,), ast.vars, taken, uses_alpha)
     value = evaluate(A, ast, bindings)
-    if value.is_zero():
-        return CheckReport(_verdict(assumptions), None, assumptions)
-    if strategy == "basis":
-        witness = _basis_witness(A, names, value)
-    else:
-        witness = _defect(None, A.basis, value,
-                          _find_specialization(value, ast.vars, names))
-    return CheckReport("fails", witness, assumptions)
-
-
-def _basis_witness(A, names, value):
-    """Witness at the lexicographically first failing basis tuple.
-
-    Every numerator monomial of a multilinear residual holds exactly one
-    generic coordinate of each variable, and its denominator holds none; so
-    the value at (b_i, b_j, ...) is, in each coordinate, the sum of the
-    terms whose generic part is x_i*y_j*..., that part taken off, over the
-    coordinate's denominator.  The tuple is the least over the generic
-    parts of the residual's keys, each key split once.
-    """
-    tools = {}
-    rows = []
-    for c in value.coords:
-        layout = c.num.ring
-        if layout not in tools:
-            # the splitter, and the basis index of each generic coordinate
-            # as a part of a key in this layout
-            tools[layout] = (layout.splitter(names), [
-                {layout.power(n, 1): i for i, n in enumerate(ns)
-                 if n in layout.nameset} for ns in names])
-        split, index = tools[layout]
-        by_part = {}
-        for key, coeff in c.num.terms.items():
-            part, rest = split(key)
-            terms = by_part.get(part)
-            if terms is None:
-                terms = by_part[part] = {}
-            terms[rest] = coeff
-        rows.append((layout, {tuple(map(dict.__getitem__, index, part)): terms
-                              for part, terms in by_part.items()}))
-    at = min(t for _, row in rows for t in row)
-    at_value = Vector._of([normalize(_raw(row.get(at, {}), layout), c.den)
-                           for (layout, row), c in zip(rows, value.coords)])
-    return _defect(tuple(A.basis[i] for i in at), A.basis, at_value)
+    if strategy == "basis" or value.is_zero():
+        return _certificate(assumptions, value, names, A.basis, A.basis)
+    return CheckReport("fails", _defect(
+        None, A.basis, value, _find_specialization(value, ast.vars, names)),
+        assumptions)
 
 
 def _find_specialization(value, variables, names):

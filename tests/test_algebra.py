@@ -471,7 +471,107 @@ def _maps(*entries):
     return maps
 
 
+def _group_algebra(dim, rng, t, label):
+    """Q[Z_dim] in the basis of the columns of a dense unimodular P, the
+    product of unit triangular factors with off-diagonal entries -t, 0 or t;
+    with the unit in that basis, the automorphism g -> -g transported to it
+    and a random dense map with entries -2t..2t."""
+    def entry():
+        return t * rng.randint(-1, 1)
+    lower = [[1 if i == j else entry() if i > j else 0 for j in range(dim)]
+             for i in range(dim)]
+    upper = [[1 if i == j else entry() if i < j else 0 for j in range(dim)]
+             for i in range(dim)]
+    P = compose(LinMap(lower), LinMap(upper))
+    Q = invert(P)
+    mu = []
+    for i in range(dim):
+        for j in range(dim):
+            product = [Scalar.zero()] * dim
+            for a in range(dim):
+                for b in range(dim):
+                    product[(a + b) % dim] += P.entry(a, i) * P.entry(b, j)
+            mu += [(i, j, k, c) for k, c in enumerate(_fold_apply(Q, product))
+                   if not c.is_zero()]
+    params = [Param(n) for n in sorted(t.variables())]
+    A = AlgebraSpec("z%d" % dim, dim, ["%s%d" % (label, i)
+                                       for i in range(dim)], params, mu)
+    inverse = LinMap([[int((i + j) % dim == 0) for j in range(dim)]
+                      for i in range(dim)])
+    unit = Vector([Q.entry(k, 0) for k in range(dim)])
+    dense = LinMap([[t * rng.randint(-2, 2) for _ in range(dim)]
+                    for _ in range(dim)])
+    return A, P, Q, unit, compose(Q, compose(inverse, P)), dense
+
+
+# Catalog maps are mostly diagonal; these tables and maps are dense.  Each
+# case is two copies of Q[Z_dim] under different changes of basis, over Q
+# or, for dims 2-4, polynomial in a parameter: a certificate holds for the
+# transported automorphism and the isomorphism between the copies, and
+# fails for a random map
+_DENSE = [(dim, param) for dim in range(2, 7) for param in (None, "a")
+          if param is None or dim <= 4]
+
+
+def _dense_cases(dim, param):
+    rng = random.Random(1800 + dim)
+    t = S(param) if param else Scalar.one()
+    A, P, _, u, auto_a, dense_a = _group_algebra(dim, rng, t, "e")
+    # other labels, so that a witness must take its coordinate from B
+    B, _, Q, v, auto_b, dense_b = _group_algebra(dim, rng, t, "f")
+    iso = compose(Q, P)
+    endos = [(A, auto_a), (A, dense_a), (B, auto_b), (B, dense_b),
+             (A, identity(dim))]
+    morphisms = [(A, B, iso), (A, B, dense_a), (B, A, invert(iso)),
+                 (A.with_alpha(auto_a), B.with_alpha(auto_b), iso),
+                 (A.with_alpha(auto_a), B.with_alpha(dense_b), iso),
+                 (A.with_alpha(auto_a), A.with_alpha(dense_a), identity(dim))]
+    units = [(A, u), (B, v), (A, v)] + [
+        (A, A.basis_vector(j)) for j in range(dim)]
+    return endos, morphisms, units
+
+
 class TestCertificatesAgainstReference:
+    @pytest.mark.parametrize("dim, param", _DENSE)
+    def test_dense(self, dim, param):
+        endos, morphisms, units = _dense_cases(dim, param)
+        verdicts = []
+        for n, (A, f) in enumerate(endos):
+            report = is_endomorphism(A, f)
+            assert _fields(report) == reference_endomorphism(A, f), n
+            verdicts.append(report.verdict)
+        for n, (A, B, f) in enumerate(morphisms):
+            report = is_morphism(A, B, f)
+            assert _fields(report) == reference_morphism(A, B, f), n
+            verdicts.append(report.verdict)
+        for n, (A, u) in enumerate(units):
+            report = check_unit(A, u)
+            assert _fields(report) == reference_unit(A, u), n
+            verdicts.append(report.verdict)
+        # the automorphisms, isomorphisms and units hold, the random maps
+        # fail, the first in the product clause, the last in the twist one
+        assert verdicts[:5] == ["holds", "fails", "holds", "fails", "holds"]
+        assert verdicts[5:11] == ["holds", "fails", "holds", "holds",
+                                  "fails", "fails"]
+        assert verdicts[11:13] == ["holds", "holds"]
+        assert "fails" in verdicts[13:]
+
+    def test_generic_names_avoid_every_variable(self):
+        # x_1 and y_1 name the generic coordinates unless taken: here they
+        # are undeclared variables of the map, the twist map and the unit
+        A = AlgebraSpec("idempotent", 1, ["e"], mu=[(0, 0, 0, 1)])
+        x1, y1 = LinMap([[S("x_1")]]), LinMap([[S("y_1")]])
+        cases = [
+            (is_endomorphism, reference_endomorphism, (A, x1)),
+            (is_endomorphism, reference_endomorphism, (A, y1)),
+            (is_morphism, reference_morphism,
+             (A.with_alpha(x1), A.with_alpha(y1), identity(1))),
+            (check_unit, reference_unit, (A, Vector([S("x_1")])))]
+        for certificate, reference, args in cases:
+            report = certificate(*args)
+            assert report.verdict == "fails"
+            assert _fields(report) == reference(*args)
+
     @pytest.mark.parametrize("key", catalog.list_keys())
     def test_endomorphism(self, key):
         entry = catalog.get(key)
@@ -502,6 +602,20 @@ class TestCertificatesAgainstReference:
                   for f in _maps(entry).values()]
         for n, (S, T, f) in enumerate(cases):
             assert _fields(is_morphism(S, T, f)) == reference_morphism(S, T, f), n
+
+
+@pytest.mark.parametrize("key", catalog.list_keys())
+def test_certificates_never_decline_the_kernel(key, kernel):
+    # the certificates re-pack the tables and the map into the layout of
+    # their generic elements, so no product meets two layouts
+    entry = catalog.get(key)
+    A = entry.algebra
+    for f in _maps(entry).values():
+        is_endomorphism(A, f)
+        for other in map(catalog.get, catalog.list_keys()):
+            if other.algebra.dim == A.dim:
+                is_morphism(A, other.algebra, f)
+    assert kernel and None not in kernel
 
 
 # --- the multiply-accumulate kernel against a Scalar fold ----------------------

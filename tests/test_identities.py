@@ -435,8 +435,8 @@ def test_generic_witness_matches_substitution(key, name):
         if report.holds:
             continue
         uses_alpha = any(isinstance(n, Alpha) for n in _subterms(ast.body))
-        packed, _, bindings = identities._generic_elements(
-            A, ast.vars, set(), uses_alpha)
+        (packed,), _, _, bindings = identities._generic_elements(
+            (A,), ast.vars, set(), uses_alpha)
         value = evaluate(packed, ast, bindings)
         assert report.witness.residual_vector == value
         spec = report.witness.specialization
@@ -449,16 +449,25 @@ def test_generic_witness_matches_substitution(key, name):
 
 
 def test_generic_elements_copy_the_validated_table():
-    # the re-packed table is a copy of A that skips validation: it equals a
-    # table built from the same entries with validation
+    # the re-packed tables and map are copies that skip validation: each
+    # equals one built from the same entries with validation
     for key in catalog.list_keys():
         A = _table(key)
-        packed, _, _ = identities._generic_elements(A, ("x", "y"), set(), True)
-        fresh = AlgebraSpec(A.name, A.dim, A.basis, A.params, packed.mu,
-                            packed.alpha, A.unit)
-        assert packed.mu == A.mu and packed.alpha == A.alpha
-        for field in ("mu", "_table", "_poly", "alpha", "params", "unit"):
-            assert getattr(packed, field) == getattr(fresh, field), field
+        # two tables and a map, as a morphism certificate re-packs them
+        f = catalog.get(key).maps.get("alpha1", A.alpha)
+        tables, g, _, _ = identities._generic_elements(
+            (A, A.with_alpha(f)), ("x", "y"), set(), True, f)
+        for packed, alpha in zip(tables, (A.alpha, f)):
+            fresh = AlgebraSpec(A.name, A.dim, A.basis, A.params, packed.mu,
+                                packed.alpha, A.unit)
+            assert packed.mu == A.mu and packed.alpha == alpha
+            for field in ("mu", "_table", "_poly", "alpha", "params",
+                          "unit"):
+                assert getattr(packed, field) == getattr(fresh, field), field
+        for packed, m in ((g, f), (tables[0].alpha, A.alpha)):
+            fresh = LinMap(packed.rows)
+            assert packed == m and packed is not m
+            assert (packed.rows, packed._poly) == (fresh.rows, fresh._poly)
 
 
 class TestGenericElements:

@@ -2,10 +2,10 @@
 `error:` line, or finishes within a stated bound.
 
 The inputs are a `dim` far larger than its basis list, a large basis
-(dim 30, whose identity map and certificates are quadratic and cubic in
-it), literals at the 1000-digit limit and one past it, and a file with
-2000 parameters, whose 2000-variable monomial and 2000-term sum go to wide
-monomial layouts.  Each input runs in its own subprocess under a timeout,
+(dim 30, whose identity map is quadratic in it, and dim 200 for the
+certificates alone), literals at the 1000-digit limit and one past it, and
+a file with 2000 parameters, whose 2000-variable monomial and 2000-term sum
+go to wide monomial layouts.  Each input runs in its own subprocess under a timeout,
 so that a hang fails the test instead of stalling the suite.  A last case
 squares a sum of 600 parameters (180 300 terms) under a cap on the
 child's address space, so that a monomial key that grows with the number
@@ -27,8 +27,8 @@ from pathlib import Path
 
 import pytest
 
-# seconds one invocation may take; the slowest here (check-endo and
-# check-morphism at dim 30) take about 0.4 s on 2 CPUs
+# seconds one invocation may take; the slowest here (check-morphism of
+# the 2000-parameter file, which it loads twice) take about 1.4 s on 2 CPUs
 BOUND = 10
 SUBPROCESS_TIMEOUT = 120
 
@@ -93,6 +93,8 @@ commands = [
     ["check-morphism", path, path, "--map", "m"],
     ["check-unit", path, "--element", json.load(open(path))["basis"][0]],
 ]
+# the subcommands named after the path, or all of them
+commands = [c for c in commands if c[0] in sys.argv[2:] or not sys.argv[2:]]
 results = []
 for argv in commands:
     out, err = io.StringIO(), io.StringIO()
@@ -108,18 +110,24 @@ print(json.dumps(results))
 """
 
 
-@pytest.mark.parametrize("name", list(INPUTS))
-def test_every_subcommand_exits_two_or_finishes(name, tmp_path):
-    doc, expect = INPUTS[name]
+def _run_script(tmp_path, name, doc, *subcommands):
+    """The [subcommand, exit code, stderr, seconds] of each command of
+    _SCRIPT on doc, or of those of the named subcommands."""
     path = tmp_path / (name + ".json")
     path.write_text(json.dumps(doc))
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-c", _SCRIPT, str(path)],
+        [sys.executable, "-c", _SCRIPT, str(path), *subcommands],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
         text=True, timeout=SUBPROCESS_TIMEOUT)
     assert done.returncode == 0, done.stderr
-    results = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize("name", list(INPUTS))
+def test_every_subcommand_exits_two_or_finishes(name, tmp_path):
+    doc, expect = INPUTS[name]
+    results = _run_script(tmp_path, name, doc)
     assert len(results) == 12
     for command, code, err, seconds in results:
         if expect == "refused":
@@ -130,6 +138,19 @@ def test_every_subcommand_exits_two_or_finishes(name, tmp_path):
             assert code in (0, 1) or (code == 2 and err.startswith("error: ")), (
                 command, code, err)
             assert "Traceback" not in err, (command, err)
+        assert seconds < BOUND, (command, seconds)
+
+
+# A certificate binds generic elements and computes its residual once, so
+# on a 200-element basis each command takes 0.1-0.3 s; a scan of the
+# 40 000 basis pairs took 17-22 s.
+def test_certificates_on_a_200_element_basis(tmp_path):
+    results = _run_script(tmp_path, "large_basis_200", _large_basis(200),
+                          "check-endo", "check-morphism", "twist")
+    assert [r[0] for r in results] == ["twist", "twist", "check-endo",
+                                       "check-morphism"]
+    for command, code, err, seconds in results:
+        assert code == 0 and err == "", (command, code, err)
         assert seconds < BOUND, (command, seconds)
 
 
