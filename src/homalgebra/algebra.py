@@ -17,13 +17,11 @@ off its keys, so failing costs what holding does.  The subalgebra check
 scans its spanning pairs instead: its reduction modulo the span is not
 linear.
 
-mul and apply_map (and so all built on them) compute each output coordinate
-with one multiply-accumulate, scalars._sums_of_products, when the table or
-map has only polynomial entries (its _poly flag; a Fraction such as the 1/2
-of a polarized table counts) and so has the vector.  A real denominator, as
-in the alt4 tables, or operands the kernel declines (two layouts, or a
-degree past the layout's fields) take the fold of Scalar products and sums,
-which cancels each denominator as it goes (Henrici).
+mul and apply_map (and so all built on them) compute every output
+coordinate with one multiply-accumulate, scalars._sums_of_products, which
+sums the products with denominator 1 in one coefficient dict and folds
+those with a real denominator, as in the alt4 tables, in Scalar products
+and sums that cancel it as they go (Henrici).
 """
 
 from __future__ import annotations
@@ -131,24 +129,21 @@ def _same_dim(u, v):
 
 
 class LinMap:
-    """Square matrix of Scalars; column j is the image of basis vector j.
-    _poly says whether every entry has denominator 1 (see apply_map)."""
+    """Square matrix of Scalars; column j is the image of basis vector j."""
 
-    __slots__ = ("rows", "_poly")
+    __slots__ = ("rows",)
 
     def __init__(self, rows):
         self.rows = tuple(tuple(_coerce(x) for x in row) for row in rows)
         n = len(self.rows)
         if any(len(row) != n for row in self.rows):
             raise DimensionMismatch("linear map matrix must be square")
-        self._poly = _polynomial(self.scalars())
 
     def _copy(self, scalars):
         """This map with equal entries taken, row by row, from the iterator
-        scalars (such as re-packed ones), so _poly carries over."""
+        scalars (such as re-packed ones), which skip coercion."""
         g = LinMap.__new__(LinMap)
         g.rows = tuple(tuple(islice(scalars, self.dim)) for _ in self.rows)
-        g._poly = self._poly
         return g
 
     @classmethod
@@ -186,11 +181,6 @@ def identity(n):
     return LinMap.diagonal([Scalar.one()] * n)
 
 
-def _polynomial(scalars):
-    """Has every one of scalars denominator 1?"""
-    return all(s.den.is_one() for s in scalars)
-
-
 def _support(v):
     """The (index, coordinate) pairs of v's nonzero coordinates."""
     return [(j, c) for j, c in enumerate(v.coords) if not c.is_zero()]
@@ -201,21 +191,9 @@ def apply_map(f, v):
         raise DimensionMismatch("map dimension %d vs vector dimension %d"
                                 % (f.dim, v.dim))
     support = _support(v)
-    if f._poly and _polynomial(c for _, c in support):
-        out = _sums_of_products([[(row[j], c) for j, c in support
-                                  if not row[j].is_zero()]
-                                 for row in f.rows])
-        if out is not None:
-            return Vector._of(out)
-    out = []
-    for row in f.rows:
-        acc = Scalar.zero()
-        for j, c in support:
-            e = row[j]
-            if not e.is_zero():
-                acc = acc + e * c
-        out.append(acc)
-    return Vector(out)
+    return Vector._of(_sums_of_products([[(row[j], c) for j, c in support
+                                          if not row[j].is_zero()]
+                                         for row in f.rows]))
 
 
 def compose(f, g):
@@ -331,12 +309,11 @@ class AlgebraSpec:
     params are Param declarations.  mu is a sparse mapping
     (i, j) -> {k: Scalar}; omitted products are zero.  alpha, when present,
     is the twisting map of the Hom-structure.  unit is an optional basis
-    index.  _poly says whether every structure constant has denominator 1
-    (see mul).
+    index.
     """
 
     __slots__ = ("name", "dim", "basis", "params", "mu", "alpha", "unit",
-                 "_table", "_poly")
+                 "_table")
 
     def __init__(self, name, dim, basis, params=(), mu=(), alpha=None, unit=None):
         self.name = name
@@ -370,7 +347,6 @@ class AlgebraSpec:
             entries.append((i, j, k, c))
         entries.sort(key=lambda e: e[:3])
         self.mu = tuple(entries)
-        self._poly = _polynomial(self.mu_scalars())
 
         self.alpha = _twist_map(alpha, dim)
         if unit is not None and not (0 <= unit < dim):
@@ -384,7 +360,7 @@ class AlgebraSpec:
         validated when self was built, so only alpha's dimension is checked."""
         A = AlgebraSpec.__new__(AlgebraSpec)
         A.name, A.dim, A.basis = self.name, self.dim, self.basis
-        A.params, A.unit, A._poly = self.params, self.unit, self._poly
+        A.params, A.unit = self.params, self.unit
         A.mu = tuple(mu)
         A.alpha = _twist_map(alpha, self.dim)
         A._table = _table_of(A.mu)
@@ -487,30 +463,19 @@ def mul(A, u, v):
     """Bilinear product of two vectors via the structure constants."""
     if u.dim != A.dim or v.dim != A.dim:
         raise DimensionMismatch("vector dimensions do not match the algebra")
-    if A._poly:
-        us, vs = _support(u), _support(v)
-        if _polynomial(c for _, c in us) and _polynomial(c for _, c in vs):
-            rows = {}
-            table = A._table
-            for i, ui in us:
-                for j, vj in vs:
-                    for k, c in table.get((i, j), ()):
-                        rows.setdefault(k, []).append((c, ui, vj))
-            coords = _sums_of_products(map(rows.get, range(A.dim)))
-            if coords is not None:
-                return Vector._of(coords)
-    coords = [Scalar.zero()] * A.dim
-    for (i, j), ks in A._table.items():
-        ui = u.coords[i]
-        if ui.is_zero():
-            continue
-        vj = v.coords[j]
-        if vj.is_zero():
-            continue
-        uv = ui * vj
-        for k, c in ks:
-            coords[k] = coords[k] + c * uv
-    return Vector(coords)
+    rows = {}
+    table = A._table
+    vs = _support(v)
+    for i, ui in _support(u):
+        for j, vj in vs:
+            ks = table.get((i, j))
+            if ks:
+                # with a denominator, u_i * v_j once per pair, not per k
+                pair = ((ui, vj) if ui.den.is_one() and vj.den.is_one()
+                        else (ui * vj,))
+                for k, c in ks:
+                    rows.setdefault(k, []).append((c, *pair))
+    return Vector._of(_sums_of_products([rows.get(k) for k in range(A.dim)]))
 
 
 def is_endomorphism(A, f):
@@ -525,7 +490,7 @@ def _morphism(A, B, f, twisted):
     """f(mu_A(x, y)) = mu_B(f x, f y) on generic x, y and, if that holds
     and twisted is set, f(alpha_A(x)) = alpha_B(f x); a witness is in A's
     labels, its coordinate in B's."""
-    tables, g, names, v = _generic_elements(
+    tables, g, names, v, _ = _generic_elements(
         (A,) if A is B else (A, B), "xy", (), twisted, f)
     S, T, x, y = tables[0], tables[-1], v["x"], v["y"]
     gx = apply_map(g, x)
@@ -563,20 +528,23 @@ def _defect(at, labels, diff, specialization=None):
 # --- generic elements --------------------------------------------------------
 
 
-def _generic_elements(tables, variables, taken=(), uses_alpha=False, f=None):
-    """The tables (one or two) and the map f (or None) copied into one
-    layout with the generic coordinates of variables, those names (a list
-    per variable) and {var: generic element}.  The layout holds the mu
-    entries, f's and, if uses_alpha, the twist maps', so an evaluation never
-    re-packs a key.  The coordinates of var are var_1, var_2, ..., each
-    prefixed with g until it avoids taken, the variables of those scalars
-    and every earlier name."""
+def _generic_elements(tables, variables, scalars=(), uses_alpha=False,
+                      f=None):
+    """The tables (one or two), the map f (or None), the twist maps if
+    uses_alpha and the Scalars scalars (a candidate unit, the coefficients
+    of an identity) copied into one layout with the generic coordinates of
+    variables, so an evaluation never re-packs a key: the tables, f, those
+    names (a list per variable), {var: generic element} and the scalars.
+    The coordinates of var are var_1, var_2, ..., each prefixed with g until
+    it avoids every variable of these and every earlier name."""
     dim = tables[0].dim
     maps = [f] * (f is not None) + [T.alpha for T in tables] * uses_alpha
     mus = [c for T in tables for c in T.mu_scalars()]
     entries = [c for m in maps for c in m.scalars()]
+    scalars = list(scalars)
     # a table's constants use only its parameters; a map's are unchecked
-    avoid = set(taken).union(
+    avoid = set().union(
+        *(c.variables() for c in scalars),
         *(T.param_names() for T in tables),
         *(p.ring.names for c in entries for p in (c.num, c.den)))
     names = []
@@ -587,7 +555,7 @@ def _generic_elements(tables, variables, taken=(), uses_alpha=False, f=None):
                 name = "g" + name
             avoid.add(name)
             names.append(name)
-    packed, coords = shared_layout(mus + entries, names)
+    packed, coords = shared_layout(mus + entries + scalars, names)
     packed = iter(packed)
     mus = [[(i, j, k, next(packed)) for i, j, k, _ in T.mu] for T in tables]
     maps = [m._copy(packed) for m in maps]
@@ -598,7 +566,7 @@ def _generic_elements(tables, variables, taken=(), uses_alpha=False, f=None):
     return ([T._copy(mu, alpha) for T, mu, alpha in zip(tables, mus, alphas)],
             f, [names[n:n + dim] for n in cut],
             {var: Vector._of(coords[n:n + dim])
-             for var, n in zip(variables, cut)})
+             for var, n in zip(variables, cut)}, list(packed))
 
 
 def _basis_witness(value, names, at_labels, labels):
@@ -663,7 +631,8 @@ def untwist(A, name=None):
 
 
 def _mapped_products(A, f):
-    """Structure constants (i, j, k, c) of the product f o mu."""
+    """Structure constants (i, j, k, c) of f o mu, A and f in one layout."""
+    (A,), f, _, _, _ = _generic_elements((A,), (), (), False, f)
     return [(i, j, k, c) for i, j in A._table for k, c in
             enumerate(apply_map(f, A.product_on_basis(i, j)).coords)
             if not c.is_zero()]
@@ -702,10 +671,9 @@ def check_unit(A, u):
     when both fail there."""
     if u.dim != A.dim:
         raise DimensionMismatch("vector dimension does not match the algebra")
-    (S,), _, names, v = _generic_elements(
-        (A,), "x", set().union(*(c.variables() for c in u.coords)))
-    x = v["x"]
     assumptions = _collect_constraints(A.mu_scalars(), u.coords)
+    (S,), _, names, v, coords = _generic_elements((A,), "x", u.coords)
+    x, u = v["x"], Vector._of(coords)
     # min keeps the first of equals: the left product
     return min((_certificate(assumptions, mul(S, *pair) - x, names, A.basis,
                              A.basis) for pair in ((u, x), (x, u))),

@@ -73,17 +73,19 @@ from .parser import (
     parse_identity,
 )
 from .record import Record
+from .scalars import Scalar
 
 
 # --- evaluation --------------------------------------------------------------------
 
 
-def evaluate(A, ast, bindings):
-    """Evaluate the AST body over A at the given variable -> Vector bindings."""
+def evaluate(A, ast, bindings, coeffs=None):
+    """Evaluate the AST body over A at the given variable -> Vector bindings;
+    coeffs maps Scale nodes to the coefficients to use for theirs."""
     for v in ast.vars:
         if v not in bindings:
             raise UnboundVariable("identity variable %r is not bound" % v)
-    return _eval_node(A, ast.body, bindings, {}, {})
+    return _eval_node(A, ast.body, bindings, dict(coeffs or ()), {})
 
 
 def _alpha_power(A, k, cache):
@@ -101,7 +103,8 @@ def _alpha_power(A, k, cache):
 
 
 def _eval_node(A, node, bindings, cache, memo):
-    """Value of node; memo maps each subterm evaluated so far to its value."""
+    """Value of node; memo maps each subterm evaluated so far to its value,
+    and cache holds the powers of alpha made so far and evaluate's coeffs."""
     if isinstance(node, Var):
         try:
             return bindings[node.name]
@@ -119,7 +122,7 @@ def _eval_node(A, node, bindings, cache, memo):
                     _eval_node(A, node.right, bindings, cache, memo))
     elif isinstance(node, Scale):
         value = _eval_node(A, node.child, bindings, cache, memo).scale(
-            node.coeff)
+            cache.get(node, node.coeff))
     elif isinstance(node, Sum):
         value = Vector.zero(A.dim)
         for sign, child in node.terms:
@@ -178,7 +181,7 @@ def _monomial_profiles(node):
 def generic_element(A, var, taken=()):
     """Vector whose coordinates are fresh indeterminates for variable var,
     names that avoid A's parameters and taken (see _generic_elements)."""
-    return _generic_elements((A,), [var], taken)[3][var]
+    return _generic_elements((A,), [var], map(Scalar.var, taken))[3][var]
 
 
 # random small-integer points tried for a generic-strategy counterexample
@@ -197,16 +200,16 @@ def check(A, ast, strategy="generic"):
         raise NotMultilinear(
             "basis strategy is only sound for multilinear identities")
     nodes = tuple(_subterms(ast.body))
-    coeffs = [n.coeff for n in nodes if isinstance(n, Scale)]
+    scales = [n for n in nodes if isinstance(n, Scale)]
     uses_alpha = A.alpha is not None and any(isinstance(n, Alpha)
                                              for n in nodes)
     assumptions = _collect_constraints(
-        A.mu_scalars(), A.alpha.scalars() if uses_alpha else (), coeffs)
-    # generic coordinates must not capture a variable of a coefficient
-    taken = set().union(*(c.variables() for c in coeffs))
-    (A,), _, names, bindings = _generic_elements(
-        (A,), ast.vars, taken, uses_alpha)
-    value = evaluate(A, ast, bindings)
+        A.mu_scalars(), A.alpha.scalars() if uses_alpha else (),
+        (n.coeff for n in scales))
+    # the coefficients join the table's layout; generic names avoid theirs
+    (A,), _, names, bindings, coeffs = _generic_elements(
+        (A,), ast.vars, [n.coeff for n in scales], uses_alpha)
+    value = evaluate(A, ast, bindings, zip(scales, coeffs))
     if strategy == "basis" or value.is_zero():
         return _certificate(assumptions, value, names, A.basis, A.basis)
     return CheckReport("fails", _defect(

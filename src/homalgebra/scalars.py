@@ -47,12 +47,12 @@ gcd of the multiplied-out result; a sum with a polynomial operand takes none.
 A gcd of two multi-term polynomials is GCDHEU (poly_gcd) while its
 evaluation point stays under _XI_BITS bits, and the primitive PRS past it.
 
-A vector product or a map image is a sum of products per coordinate.  When
-every factor has denominator 1, _sums_of_products multiplies out a whole
-coordinate into one {key: coefficient} dict and builds one Scalar from it;
-it declines (returns None) when two non-constant factors are in different
-layouts or a term product would overflow its layout, and the caller then
-folds Scalar products and sums as it does for rational factors.
+A vector product or a map image is a sum of products per coordinate, and
+_sums_of_products computes every one: the products whose factors have
+denominator 1 are multiplied out into one {key: coefficient} dict, which
+becomes one Scalar, and the others are Scalar products and sums with their
+cross gcds.  Factors in two layouts, or a term product that would overflow
+its layout, are re-packed once into one layout that holds every product.
 """
 
 from __future__ import annotations
@@ -1137,13 +1137,14 @@ _S_ZERO = Scalar._make(_ZERO, _ONE)
 _S_ONE = Scalar._make(_ONE, _ONE)
 
 
-def shared_layout(values, names=()):
+def shared_layout(values, names=(), degree=0):
     """(values, gens): the Scalars values re-packed into one layout that
-    holds their variables and names, and the variables names as Scalars in
-    that layout, so that arithmetic among all of them never re-packs a key.
-    A constant is the key 0 in every layout and is returned as it is.  For
-    a caller that knows its variables in advance, such as a check on
-    generic elements."""
+    holds their variables and names, their degrees and degree, and the
+    variables names as Scalars in that layout, so that arithmetic among all
+    of them never re-packs a key.  Every denominator 1 becomes the shared
+    _ONE, and a constant over it is returned as it is: the key 0 is the
+    same in every layout.  For a caller that knows its variables in
+    advance, such as a check on generic elements."""
     polys = [p for s in values if not (s.den.is_one() and s.num.is_constant())
              for p in (s.num, s.den)]
     # each layout ORs the keys of its polynomials and decodes them once
@@ -1153,9 +1154,10 @@ def shared_layout(values, names=()):
     used = set(names).union(*(ring.used(chain.from_iterable(ts))
                               for ring, ts in terms.items()))
     layout = _layout(tuple(sorted(used, key=name_key)),
-                     max(map(_degree, polys), default=0))
-    packed = [s if s.den.is_one() and s.num.is_constant() else
-              Scalar._make(_repack(s.num, layout), _repack(s.den, layout))
+                     max([degree, *map(_degree, polys)]))
+    packed = [s if s.den is _ONE and s.num.is_constant() else
+              Scalar._make(_repack(s.num, layout), _ONE if s.den.is_one()
+                           else _repack(s.den, layout))
               for s in values]
     return packed, [Scalar._make(p, _ONE) for p in _gens(layout, names)]
 
@@ -1242,55 +1244,80 @@ def _product(a, b, c, d):
 
 
 def _sums_of_products(rows):
-    """The Scalars sum(prod(factors) for factors in row), one per row, for
-    tuples of two or more factors that are Scalars with denominator 1: the
-    multiply-accumulate of a vector product or a map image, one coordinate
-    per row.
+    """The Scalars sum(prod(factors) for factors in row), one per row of the
+    list rows (None for an empty row), each tuple two or more Scalars: the
+    multiply-accumulate of a vector product or a map image.
 
-    Each row's term products go into one {key: coefficient} dict, with one
-    _q per coefficient at the end, in place of a chain of Scalar products
-    and sums that copies the growing sum at each term (Johnson 1974).
-    Returns None, for the caller to take the Scalar fold instead, when two
-    non-constant factors are in different layouts, or when a term product
-    reaches its layout's limit: each key is below it, so a product whose
-    degree would overflow the fields sums to a key at or above the limit,
-    and one whose degree does not stays below it.
+    Tuples whose factors all have denominator 1 (tested by identity first:
+    shared_layout makes each the shared _ONE) are multiplied out into one
+    {key: coefficient} dict per row, one _q per coefficient at the end
+    (Johnson 1974).  The others are Scalar products and sums, whose cross
+    gcds cancel each denominator as they go (Henrici); the dict's Scalar is
+    added last.  Dict factors in two layouts, or a term product at its
+    layout's limit (every key is below it, so a product whose degree would
+    overflow the fields reaches it), re-pack the rows once (_repacked) and
+    start again.
     """
     ring = None
     out = []
     for row in rows:
-        if not row:
-            out.append(_S_ZERO)
-            continue
         acc = {}
         get = acc.get
-        for factors in row:
+        total = None
+        for factors in row or ():
             # part: the terms of the factors before last, multiplied out
             part = last = None
             for s in factors:
+                if s.den is not _ONE and not s.den.is_one():
+                    factors = reversed(factors)
+                    product = next(factors)
+                    for s in factors:
+                        product = s * product
+                    total = product if total is None else total + product
+                    break
                 p = s.num
                 t = p.terms
                 if (p.ring is not ring and p.ring is not _EMPTY
                         and not _is_const(t)):
                     if ring is not None:
-                        return None
+                        return _sums_of_products(_repacked(rows))
                     ring = p.ring
                 if last is not None:
                     part = last if part is None else [
                         (k1 + k2, c1 * c2) for k1, c1 in part
                         for k2, c2 in last]
                 last = t.items()
-            for k1, c1 in part:
-                for k2, c2 in last:
-                    k = k1 + k2
-                    acc[k] = get(k, 0) + c1 * c2
-        if ring is not None and ring.limit and acc and max(acc) >= ring.limit:
-            return None
+            else:
+                for k1, c1 in part:
+                    for k2, c2 in last:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + c1 * c2
+        if not acc:
+            out.append(_S_ZERO if total is None else total)
+            continue
+        if ring is not None and ring.limit and max(acc) >= ring.limit:
+            return _sums_of_products(_repacked(rows))
         terms = {k: c if c.__class__ is int else _q(c)
                  for k, c in acc.items() if c}
-        out.append(Scalar._make(_raw(terms, ring or _EMPTY), _ONE)
-                   if terms else _S_ZERO)
+        value = Scalar._make(_raw(terms, ring or _EMPTY), _ONE) \
+            if terms else _S_ZERO
+        out.append(value if total is None else total + value)
     return out
+
+
+def _repacked(rows):
+    """rows with every non-constant factor of denominator 1 re-packed into
+    one layout that holds the degree of each tuple's product of them."""
+    polys = {}
+    degree = 0
+    for factors in chain.from_iterable(filter(None, rows)):
+        mine = [s for s in factors
+                if s.den.is_one() and not s.num.is_constant()]
+        polys.update((id(s), s) for s in mine)
+        degree = max(degree, sum(_degree(s.num) for s in mine))
+    packed = dict(zip(polys, shared_layout([*polys.values()], (), degree)[0]))
+    return [[tuple(packed.get(id(s), s) for s in factors)
+             for factors in row or ()] for row in rows]
 
 
 def nonzero_constraints(poly):

@@ -344,6 +344,16 @@ class TestUnit:
         assert r.verdict == "fails"
         assert r.witness.residual == S("a") - Scalar.one()
 
+    def test_a_parametric_candidate_shares_the_layout(self, h3, repacks):
+        # u is re-packed with the table and the generic element, so no
+        # product of the certificate meets two layouts
+        A = h3.algebra
+        u = Vector([S("a"), 0, 0])
+        r = check_unit(A, u)
+        assert repacks == []
+        assert _fields(r) == reference_unit(A, u)
+        assert r.witness.residual == S("a") ** 2 - 1
+
 
 class TestAlgebraSpecValidation:
     # a zero constant is checked before it is dropped, in either order
@@ -377,7 +387,7 @@ class TestAlgebraSpecValidation:
             fresh = AlgebraSpec(A.name, A.dim, A.basis, A.params, A.mu,
                                 alpha, A.unit)
             assert copy == fresh
-            for field in ("mu", "_table", "_poly", "alpha", "params"):
+            for field in ("mu", "_table", "alpha", "params"):
                 assert getattr(copy, field) == getattr(fresh, field), field
         assert A.with_identity_alpha().alpha == identity(A.dim)
 
@@ -620,9 +630,10 @@ def test_certificates_never_decline_the_kernel(key, kernel):
 
 # --- the multiply-accumulate kernel against a Scalar fold ----------------------
 #
-# mul and apply_map sum each output coordinate of a polynomial table or map in
-# scalars._sums_of_products.  The references below are plain Scalar + and *
-# folds over each coordinate, every product in turn, zeros included.
+# mul and apply_map sum each output coordinate in scalars._sums_of_products,
+# whatever their denominators and layouts.  The references below are plain
+# Scalar + and * folds over each coordinate, every product in turn, zeros
+# included.
 
 
 def _fold_mul(A, u, v):
@@ -650,8 +661,7 @@ def _assert_same(got, want):
 
 @pytest.fixture
 def kernel(monkeypatch):
-    """What each call of the kernel returned: its Scalars, or None where it
-    declined and the fold ran."""
+    """What each call of the kernel returned."""
     calls = []
 
     def spy(rows):
@@ -663,22 +673,40 @@ def kernel(monkeypatch):
     return calls
 
 
-def _draw(rng, gens, coeffs, terms=3):
-    """A random polynomial Scalar of up to `terms` terms over gens."""
+@pytest.fixture
+def repacks(monkeypatch):
+    """The rows of each re-pack the kernel made."""
+    calls = []
+    repacked = scalars._repacked
+
+    def spy(rows):
+        calls.append(rows)
+        return repacked(rows)
+
+    monkeypatch.setattr(scalars, "_repacked", spy)
+    return calls
+
+
+def _draw(rng, gens, coeffs, terms=3, rational=()):
+    """A random Scalar of up to `terms` terms over gens, a term now and
+    then times one of rational."""
     out = Scalar.zero()
     for _ in range(rng.randint(0, terms)):
         t = Scalar.from_fraction(rng.choice(coeffs))
         for g in rng.sample(gens, rng.randint(0, min(2, len(gens)))):
             t = t * g ** rng.randint(1, 2)
+        if rational and rng.random() < 0.3:
+            t = t * rng.choice(rational)
         out = out + t
     return out
 
 
-def _random_case(rng, gens, coeffs, dim):
-    """A sparse table, a map and two vectors with entries drawn over gens."""
+def _random_case(rng, gens, coeffs, dim, rational=()):
+    """A sparse table, a map and two vectors with entries drawn over gens
+    (see _draw)."""
     def draw():
-        return _draw(rng, gens, coeffs) if rng.random() < 0.7 else \
-            Scalar.zero()
+        return _draw(rng, gens, coeffs, rational=rational) \
+            if rng.random() < 0.7 else Scalar.zero()
     mu = [(i, j, k, draw()) for i in range(dim) for j in range(dim)
           for k in range(dim) if rng.random() < 0.5]
     params = [Param(n) for n in sorted(set().union(
@@ -709,13 +737,14 @@ class TestMultiplyAccumulate:
     @pytest.mark.parametrize("coeffs", [INTS, FRACTIONS],
                              ids=["int", "fraction"])
     @pytest.mark.parametrize("seed", range(12))
-    def test_one_layout_matches_the_fold(self, kernel, seed, coeffs):
+    def test_one_layout_matches_the_fold(self, kernel, repacks, seed, coeffs):
         rng = random.Random(1600 + seed)
         gens = Scalar.gens(["a", "b", "x1", "x2", "x3"])
         A, f, g, u, v = _random_case(rng, gens, coeffs, rng.randint(1, 4))
-        assert A._poly and f._poly and g._poly
+        assert all(c.den.is_one() for c in A.mu_scalars())
         _assert_all_match(A, f, g, u, v)
         assert kernel and None not in kernel
+        assert repacks == []
 
     def test_fractions_cancel_to_an_integer_or_to_zero(self, kernel):
         x0, x1 = Scalar.gens(["x0", "x1"])
@@ -742,7 +771,7 @@ class TestMultiplyAccumulate:
             [Fraction]
         assert None not in kernel
 
-    def test_two_layouts_take_the_fold(self, kernel):
+    def test_two_layouts_are_repacked(self, kernel, repacks):
         rng = random.Random(1620)
         xs = Scalar.gens(["x1", "x2", "x3"])
         ys = Scalar.gens(["y1", "y2", "y3"])   # a layout of their own
@@ -751,16 +780,23 @@ class TestMultiplyAccumulate:
         v = Vector(ys)
         _assert_same(mul(A, u, v).coords, _fold_mul(A, u, v))
         _assert_same(apply_map(f, v).coords, _fold_apply(f, v))
-        assert None in kernel
-        assert scalars._sums_of_products([[(xs[0], ys[0])]]) is None
+        assert kernel and None not in kernel
+        assert len(repacks) == 2
+        # one layout for all of a call's rows, which holds both
+        got = scalars._sums_of_products([[(xs[0], ys[0])], [(ys[1], xs[1])]])
+        assert got == [xs[0] * ys[0], ys[1] * xs[1]]
+        assert got[0].num.ring is got[1].num.ring
+        assert got[0].num.ring.nameset == {"x1", "x2", "y1", "y2"}
         # a constant is the key 0 of every layout
-        assert scalars._sums_of_products(
-            [[(Scalar.from_fraction(2), ys[0]), (xs[1], Scalar.one())]]) \
-            is None
+        got = scalars._sums_of_products(
+            [[(Scalar.from_fraction(2), ys[0]), (xs[1], Scalar.one())]])
+        assert got == [ys[0] * 2 + xs[1]]
+        assert len(repacks) == 4
         one = scalars._sums_of_products([[(Scalar.from_fraction(2), ys[0])]])
-        assert one == [ys[0] * 2]
+        assert one == [ys[0] * 2] and len(repacks) == 4
 
-    def test_a_product_past_the_layout_limit_takes_the_fold(self, kernel):
+    def test_a_product_past_the_layout_limit_is_repacked(self, kernel,
+                                                           repacks):
         s, t = Scalar.gens(["s", "t"])
         u, v = Vector([s ** 70]), Vector([t ** 70])
         ring = u[0].num.ring
@@ -769,12 +805,13 @@ class TestMultiplyAccumulate:
         got = mul(A, u, v)
         _assert_same(got.coords, _fold_mul(A, u, v))
         assert got[0] == s ** 70 * t ** 70
-        assert kernel == [None]
+        assert len(repacks) == 1 and got[0].num.ring.cap > 140
+        assert kernel and None not in kernel
         # just under the limit the kernel keeps the layout
         u, v = Vector([s ** 60]), Vector([t ** 60])
         got = mul(A, u, v)
         _assert_same(got.coords, _fold_mul(A, u, v))
-        assert kernel[1] is not None and got[0].num.ring is ring
+        assert len(repacks) == 1 and got[0].num.ring is ring
 
     @pytest.mark.parametrize("seed", range(3))
     def test_a_wide_layout(self, kernel, seed):
@@ -799,9 +836,10 @@ class TestMultiplyAccumulate:
         assert mul(A, zero, c).is_zero()
         assert kernel and None not in kernel
 
-    def test_a_rational_table_takes_the_fold(self, kernel):
+    def test_a_rational_table_matches_the_fold(self, kernel):
         A = catalog.get("alt4_mu1_twist_alpha1").algebra
-        assert not A._poly and not A.alpha._poly
+        assert not all(c.den.is_one() for c in A.mu_scalars())
+        assert not all(c.den.is_one() for c in A.alpha.scalars())
         rng = random.Random(1640)
         gens = Scalar.gens(["a", "b", "x1", "x2"])
         u, v = (Vector([_draw(rng, gens, FRACTIONS) for _ in range(A.dim)])
@@ -811,86 +849,68 @@ class TestMultiplyAccumulate:
         for row, want in zip(compose(A.alpha, A.alpha).rows,
                              _fold_compose(A.alpha, A.alpha)):
             _assert_same(row, want)
-        assert kernel == []
+        assert kernel and None not in kernel
 
-    def test_a_rational_vector_takes_the_fold(self, kernel, octonions):
+    def test_a_rational_vector_matches_the_fold(self, kernel, octonions):
         A = octonions.algebra
         u = Vector([S("a") / (S("a") + 1)] + [S("b")] * 7)
         v = Vector([S("a")] * 8)
         _assert_same(mul(A, u, v).coords, _fold_mul(A, u, v))
         _assert_same(apply_map(identity(8), u).coords,
                      _fold_apply(identity(8), u))
-        assert kernel == []
+        assert kernel and None not in kernel
+
+    def test_a_sum_of_reciprocals_takes_no_multi_term_gcd(self, monkeypatch):
+        # the constant 1/S + 1/(S + 1) over the sum S of 200 names: its
+        # products with monomials keep Henrici's cross gcds, each with a
+        # single-term operand; one gcd of a multiplied-out coordinate with
+        # the denominator S^2 + S would take GCDHEU about a second
+        names = ["p%d" % i for i in range(1, 201)]
+        total = sum(Scalar.gens(names), Scalar.zero())
+        c = 1 / total + 1 / (total + 1)
+        A = AlgebraSpec("reciprocals", 1, ["e"], [Param(n) for n in names],
+                        [(0, 0, 0, c)])
+        (P,), _, _, v, _ = algebra_module._generic_elements((A,), "xy")
+        calls = []
+        heu = scalars._heu_gcd
+
+        def spy(p, q):
+            calls.append((p, q))
+            return heu(p, q)
+
+        monkeypatch.setattr(scalars, "_heu_gcd", spy)
+        got = mul(P, v["x"], v["y"])
+        assert calls == []
+        assert got[0] == c * v["x"][0] * v["y"][0]
 
 
-# --- the _poly flag on every construction route -------------------------------
+# --- every construction route, against the fold --------------------------------
 
 
-def _all_polynomial(scalars_):
-    return all(s.den.is_one() for s in scalars_)
-
-
-def _assert_flags(A):
-    assert A._poly == _all_polynomial(A.mu_scalars())
-    if A.alpha is not None:
-        assert A.alpha._poly == _all_polynomial(A.alpha.scalars())
-
-
-class TestPolyFlag:
-    def test_algebra_routes(self, h3, mu1):
-        a, b = S("a"), S("b")
-        A = AlgebraSpec("t", 2, ["e0", "e1"], params=[Param("a"), Param("b")],
-                        mu=[(0, 0, 0, a), (0, 1, 1, b / a), (1, 0, 1, 1)])
-        _assert_flags(A)
-        assert not A._poly
-        # a substitution removes the denominator: b/a at a = 2 is b/2
-        B = A.substitute({"a": 2})
-        _assert_flags(B)
-        assert B._poly
-        assert not A.substitute({"b": 3})._poly
-        assert A.substitute({"b": 0})._poly
-        f = LinMap.diagonal([a, a])
-        for C in (B.with_alpha(f), B.with_alpha(LinMap.diagonal([1 / a, a])),
-                  opposite(A), opposite(B), polarize(A), polarize(B),
-                  h3.algebra, mu1.algebra, polarize(h3.algebra),
-                  opposite(h3.algebra)):
-            _assert_flags(C)
-        assert polarize(B)._poly           # 1/2 is polynomial
-        assert polarize(h3.algebra)._poly
-        assert mu1.algebra._poly
-        assert not mu1.maps["alpha1"]._poly
-        T = catalog.get("alt4_mu1_twist_alpha1").algebra
-        _assert_flags(T)
-        assert not T._poly
-        # the twist of a polynomial table by a polynomial map is polynomial;
-        # its untwist divides by a
-        P = AlgebraSpec("p", 2, ["e0", "e1"], params=[Param("a")],
-                        mu=[(0, 0, 0, 1), (0, 1, 1, 1), (1, 0, 1, 1)])
-        T = yau_twist(P, LinMap.diagonal([1, a]))
-        _assert_flags(T)
-        assert T._poly and T.alpha._poly
-        U = untwist(T)
-        _assert_flags(U)
-        assert U.same_table(P) and U._poly
-        V = untwist(P.with_alpha(LinMap.diagonal([a, a])))
-        _assert_flags(V)
-        assert not V._poly                 # mu / a
-        W = yau_twist(P, LinMap.diagonal([1, 1 / a]))
-        _assert_flags(W)
-        assert not W._poly and not W.alpha._poly
-
-    def test_map_routes(self):
-        a = S("a")
-        f = LinMap.diagonal([2, a])
-        assert f._poly
-        inv = invert(f)
-        assert inv.rows[0][0] == Fraction(1, 2) and not inv._poly
-        assert invert(LinMap.diagonal([2, 3]))._poly   # 1/2 and 1/3
-        for m in (inv, compose(f, f), compose(f, inv), compose(inv, inv),
-                  inv.substitute({"a": 3}), f.substitute({"a": 0}),
-                  identity(3)):
-            assert m._poly == _all_polynomial(m.scalars())
-        assert compose(f, f)._poly
-        assert compose(f, inv)._poly               # the identity
-        assert not compose(inv, inv)._poly
-        assert inv.substitute({"a": 3})._poly      # 1/a at a = 3 is 1/3
+class TestEveryRoute:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_products_match_the_fold(self, kernel, seed):
+        # rational draws such as 1/a and b/(a + 1) put real denominators in
+        # the tables, maps and vectors of every route
+        rng = random.Random(1660 + seed)
+        gens = Scalar.gens(["a", "b", "x1", "x2"])
+        a, b = gens[:2]
+        dim = rng.randint(2, 3)
+        A, f, g, u, v = _random_case(rng, gens, FRACTIONS, dim,
+                                     rational=(1 / a, b / (a + 1)))
+        twist = LinMap.diagonal([a + 1, 1 / a, b][:dim])
+        algebras = [A, A.substitute({"a": 2}), A.substitute({"b": 0}),
+                    A.with_alpha(twist), opposite(A), polarize(A),
+                    yau_twist(A, twist, force=True),
+                    untwist(A.with_alpha(twist))]
+        for B in algebras:
+            _assert_same(mul(B, u, v).coords, _fold_mul(B, u, v))
+            _assert_same(mul(B, v, u).coords, _fold_mul(B, v, u))
+        maps = [f, g, twist, invert(twist), compose(f, twist),
+                f.substitute({"a": 3}), identity(dim)]
+        for m in maps:
+            _assert_same(apply_map(m, u).coords, _fold_apply(m, u))
+            for n in (g, twist):
+                for row, want in zip(compose(m, n).rows, _fold_compose(m, n)):
+                    _assert_same(row, want)
+        assert kernel and None not in kernel

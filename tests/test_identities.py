@@ -435,7 +435,7 @@ def test_generic_witness_matches_substitution(key, name):
         if report.holds:
             continue
         uses_alpha = any(isinstance(n, Alpha) for n in _subterms(ast.body))
-        (packed,), _, _, bindings = identities._generic_elements(
+        (packed,), _, _, bindings, _ = identities._generic_elements(
             (A,), ast.vars, set(), uses_alpha)
         value = evaluate(packed, ast, bindings)
         assert report.witness.residual_vector == value
@@ -455,19 +455,18 @@ def test_generic_elements_copy_the_validated_table():
         A = _table(key)
         # two tables and a map, as a morphism certificate re-packs them
         f = catalog.get(key).maps.get("alpha1", A.alpha)
-        tables, g, _, _ = identities._generic_elements(
+        tables, g, _, _, _ = identities._generic_elements(
             (A, A.with_alpha(f)), ("x", "y"), set(), True, f)
         for packed, alpha in zip(tables, (A.alpha, f)):
             fresh = AlgebraSpec(A.name, A.dim, A.basis, A.params, packed.mu,
                                 packed.alpha, A.unit)
             assert packed.mu == A.mu and packed.alpha == alpha
-            for field in ("mu", "_table", "_poly", "alpha", "params",
-                          "unit"):
+            for field in ("mu", "_table", "alpha", "params", "unit"):
                 assert getattr(packed, field) == getattr(fresh, field), field
         for packed, m in ((g, f), (tables[0].alpha, A.alpha)):
             fresh = LinMap(packed.rows)
             assert packed == m and packed is not m
-            assert (packed.rows, packed._poly) == (fresh.rows, fresh._poly)
+            assert packed.rows == fresh.rows
 
 
 class TestGenericElements:
@@ -491,3 +490,37 @@ class TestGenericElements:
         report = check(A, ast)
         assert report.verdict == "fails"
         assert coeff_name in report.witness.residual.variables()
+
+    @pytest.mark.parametrize("coeff_name", ["t", "a"])
+    @pytest.mark.parametrize("strategy", ["generic", "basis"])
+    def test_coefficients_share_the_layout(self, h3, monkeypatch, coeff_name,
+                                           strategy):
+        # a parametric coefficient is re-packed with the table, so no
+        # product or sum of the check re-packs a key through _common
+        x, y = Var("x"), Var("y")
+        coeff = S(coeff_name)
+        ast = IdentityAST(("x", "y"), Sum(((1, Scale(coeff, Mu(x, y))),
+                                           (-1, Mu(y, x)))))
+        calls = []
+        common = scalars._common
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return common(*args, **kwargs)
+
+        monkeypatch.setattr(scalars, "_common", spy)
+        report = check(h3, ast, strategy)
+        assert calls == []
+        monkeypatch.undo()
+        # the residual is the one evaluated with the coefficient as given
+        (packed,), _, _, bindings, _ = identities._generic_elements(
+            (h3,), ast.vars, [coeff])
+        assert report.verdict == "fails" and report.assumptions == ()
+        w = report.witness
+        assert w.coordinate == "e1"
+        if strategy == "generic":
+            assert w.residual_vector == evaluate(packed, ast, bindings)
+            assert w.specialization == {"x": (1, 1, 1), "y": (1, 1, 1)}
+        else:
+            assert w.at == ("e1", "e1")
+            assert w.residual == S("a") * coeff - S("a")
