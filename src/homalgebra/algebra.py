@@ -21,7 +21,9 @@ mul and apply_map (and so all built on them) compute every output
 coordinate with one multiply-accumulate, scalars._sums_of_products, which
 sums the products with denominator 1 in one coefficient dict and folds
 those with a real denominator, as in the alt4 tables, in Scalar products
-and sums that cancel it as they go (Henrici).
+and sums that cancel it as they go (Henrici).  A spec keeps its structure
+constants and twist map in one layout, and a map its entries, so products
+among them never re-pack.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .scalars import (
     name_key,
     nonzero_constraints,
     normalize,
+    one_layout,
     shared_layout,
 )
 
@@ -129,7 +132,8 @@ def _same_dim(u, v):
 
 
 class LinMap:
-    """Square matrix of Scalars; column j is the image of basis vector j."""
+    """Square matrix of Scalars; column j is the image of basis vector j.
+    The entries are in one layout (scalars.one_layout)."""
 
     __slots__ = ("rows",)
 
@@ -138,6 +142,11 @@ class LinMap:
         n = len(self.rows)
         if any(len(row) != n for row in self.rows):
             raise DimensionMismatch("linear map matrix must be square")
+        values = [x for row in self.rows for x in row]
+        packed = one_layout(values)
+        if packed is not values:
+            packed = iter(packed)
+            self.rows = tuple(tuple(islice(packed, n)) for _ in self.rows)
 
     def _copy(self, scalars):
         """This map with equal entries taken, row by row, from the iterator
@@ -309,7 +318,8 @@ class AlgebraSpec:
     params are Param declarations.  mu is a sparse mapping
     (i, j) -> {k: Scalar}; omitted products are zero.  alpha, when present,
     is the twisting map of the Hom-structure.  unit is an optional basis
-    index.
+    index.  The structure constants and alpha's entries are in one layout
+    (scalars.one_layout).
     """
 
     __slots__ = ("name", "dim", "basis", "params", "mu", "alpha", "unit",
@@ -346,25 +356,42 @@ class AlgebraSpec:
                                  % sorted(extra))
             entries.append((i, j, k, c))
         entries.sort(key=lambda e: e[:3])
-        self.mu = tuple(entries)
-
-        self.alpha = _twist_map(alpha, dim)
+        self._set_table(entries, alpha, True)
         if unit is not None and not (0 <= unit < dim):
             raise ValueError("unit index out of range")
         self.unit = unit
-        self._table = _table_of(self.mu)
 
-    def _copy(self, mu, alpha):
+    def _copy(self, mu, alpha, pack=False):
         """This spec with the entries mu, equal to self.mu's in their order
-        (such as re-packed ones), and the twist map alpha: the table was
-        validated when self was built, so only alpha's dimension is checked."""
+        (such as re-packed ones), and the twist map alpha, re-packed if pack
+        is set: the table was validated when self was built, so only alpha's
+        dimension is checked."""
         A = AlgebraSpec.__new__(AlgebraSpec)
         A.name, A.dim, A.basis = self.name, self.dim, self.basis
         A.params, A.unit = self.params, self.unit
-        A.mu = tuple(mu)
-        A.alpha = _twist_map(alpha, self.dim)
-        A._table = _table_of(A.mu)
+        A._set_table(mu, alpha, pack)
         return A
+
+    def _set_table(self, mu, alpha, pack):
+        """Set mu, alpha and _table ({(i, j): [(k, c), ...]}) from the
+        entries mu and the twist map alpha (None or of dimension dim), and
+        if pack is set, put their Scalars in one layout (one_layout)."""
+        if alpha is not None and alpha.dim != self.dim:
+            raise DimensionMismatch("twisting map dimension %d vs algebra "
+                                    "dimension %d" % (alpha.dim, self.dim))
+        if pack:
+            values = [c for _, _, _, c in mu]
+            if alpha is not None:
+                values += alpha.scalars()
+            packed = one_layout(values)
+            if packed is not values:
+                packed = iter(packed)
+                mu = [(i, j, k, next(packed)) for i, j, k, _ in mu]
+                alpha = None if alpha is None else alpha._copy(packed)
+        self.mu, self.alpha, self._table = tuple(mu), alpha, {}
+        table = self._table
+        for i, j, k, c in self.mu:
+            table.setdefault((i, j), []).append((k, c))
 
     # -- construction helpers ----------------------------------------------
 
@@ -406,7 +433,7 @@ class AlgebraSpec:
         return tuple(p.name for p in self.params)
 
     def with_alpha(self, alpha):
-        return self._copy(self.mu, alpha)
+        return self._copy(self.mu, alpha, True)
 
     def with_identity_alpha(self):
         return self.with_alpha(identity(self.dim))
@@ -437,23 +464,6 @@ class AlgebraSpec:
         return "AlgebraSpec(%r, dim=%d, %d products%s)" % (
             self.name, self.dim, len(self.mu),
             ", twisted" if self.alpha else "")
-
-
-def _twist_map(alpha, dim):
-    """alpha as the twist map of a dim-dimensional algebra: None or a map
-    of dimension dim; DimensionMismatch otherwise."""
-    if alpha is not None and alpha.dim != dim:
-        raise DimensionMismatch("twisting map dimension %d vs algebra dimension %d"
-                                % (alpha.dim, dim))
-    return alpha
-
-
-def _table_of(mu):
-    """{(i, j): [(k, c), ...]} of the entries mu, in their order."""
-    table = {}
-    for i, j, k, c in mu:
-        table.setdefault((i, j), []).append((k, c))
-    return table
 
 
 # --- operations -------------------------------------------------------------------

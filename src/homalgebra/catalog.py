@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraSpec, LinMap, Param
 from .errors import UnknownKey
-from .parser import parse_scalar_expr
+from .parser import declared_variables, parse_scalar_expr
 from .record import Record
 from .scalars import Scalar
 
@@ -29,8 +29,8 @@ class CatalogEntry(Record):
 
 
 def _scalars(params):
-    names = [p.name for p in params]
-    return lambda text: parse_scalar_expr(text, names)
+    declared = declared_variables([p.name for p in params])
+    return lambda text: parse_scalar_expr(text, declared)
 
 
 def _table_from_rows(basis, rows):
@@ -86,7 +86,7 @@ def _hom_assoc_3d():
     return CatalogEntry(
         key="hom_assoc_3d",
         algebra=algebra,
-        maps={"alpha": alpha},
+        maps={"alpha": algebra.alpha},
         provenance="3-dimensional twisted-associative family over a, b; "
                    "the product e3*e1 is read symmetrically as b e3 to match "
                    "e1*e3",
@@ -189,7 +189,8 @@ def _alt4_twist(key, table, params, map_name, alpha, provenance):
     map map_name."""
     algebra = AlgebraSpec.from_table(key, _A4_BASIS, _resolve(table, params),
                                      params=params, alpha=alpha)
-    return CatalogEntry(key=key, algebra=algebra, maps={map_name: alpha},
+    return CatalogEntry(key=key, algebra=algebra,
+                        maps={map_name: algebra.alpha},
                         provenance=provenance, expected=_TWIST_CLAIMS)
 
 
@@ -298,7 +299,7 @@ def _octonions_twist_diag():
     return CatalogEntry(
         key="octonions_twist_diag",
         algebra=algebra,
-        maps={"oct_diag": _oct_diag()},
+        maps={"oct_diag": algebra.alpha},
         provenance="octonion product composed with the diagonal scaling "
                    "family; stored as an independent transcription of the "
                    "twist.  Caution: oct_diag is not an algebra endomorphism "
@@ -330,7 +331,7 @@ def _hom_jordan_3d():
     return CatalogEntry(
         key="hom_jordan_3d",
         algebra=algebra,
-        maps={"alpha": alpha},
+        maps={"alpha": algebra.alpha},
         provenance="polarization of the 3-dimensional twisted-associative "
                    "family; both (e2, e3) and (e3, e2) carry b/2 e3 so the "
                    "table is commutative (a printed transcription shows 0 at "

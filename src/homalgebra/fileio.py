@@ -17,7 +17,7 @@ import json
 
 from .algebra import AlgebraSpec, LinMap, Param
 from .errors import DivisionByZero, ParseError, ValidationError
-from .parser import parse_scalar_expr
+from .parser import declared_variables, parse_scalar_expr
 from .record import Record
 
 
@@ -85,12 +85,13 @@ def loads(text, source="<string>"):
     # each distinct scalar string is parsed once per file: Scalars are
     # immutable, so its entries can share the value
     parsed = {}
+    declared = declared_variables(param_names)
 
     def parse(expr, where):
         value = parsed.get(expr)
         if value is None:
             try:
-                value = parse_scalar_expr(expr, param_names)
+                value = parse_scalar_expr(expr, declared)
             except (ParseError, DivisionByZero) as exc:
                 raise ValidationError("%s: %s: %s"
                                       % (source, where, exc)) from None

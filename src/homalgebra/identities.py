@@ -79,13 +79,12 @@ from .scalars import Scalar
 # --- evaluation --------------------------------------------------------------------
 
 
-def evaluate(A, ast, bindings, coeffs=None):
-    """Evaluate the AST body over A at the given variable -> Vector bindings;
-    coeffs maps Scale nodes to the coefficients to use for theirs."""
+def evaluate(A, ast, bindings):
+    """Evaluate the AST body over A at the given variable -> Vector bindings."""
     for v in ast.vars:
         if v not in bindings:
             raise UnboundVariable("identity variable %r is not bound" % v)
-    return _eval_node(A, ast.body, bindings, dict(coeffs or ()), {})
+    return _eval_node(A, ast.body, bindings, {}, {})
 
 
 def _alpha_power(A, k, cache):
@@ -103,8 +102,7 @@ def _alpha_power(A, k, cache):
 
 
 def _eval_node(A, node, bindings, cache, memo):
-    """Value of node; memo maps each subterm evaluated so far to its value,
-    and cache holds the powers of alpha made so far and evaluate's coeffs."""
+    """Value of node; memo maps each subterm evaluated so far to its value."""
     if isinstance(node, Var):
         try:
             return bindings[node.name]
@@ -122,7 +120,7 @@ def _eval_node(A, node, bindings, cache, memo):
                     _eval_node(A, node.right, bindings, cache, memo))
     elif isinstance(node, Scale):
         value = _eval_node(A, node.child, bindings, cache, memo).scale(
-            cache.get(node, node.coeff))
+            node.coeff)
     elif isinstance(node, Sum):
         value = Vector.zero(A.dim)
         for sign, child in node.terms:
@@ -209,12 +207,30 @@ def check(A, ast, strategy="generic"):
     # the coefficients join the table's layout; generic names avoid theirs
     (A,), _, names, bindings, coeffs = _generic_elements(
         (A,), ast.vars, [n.coeff for n in scales], uses_alpha)
-    value = evaluate(A, ast, bindings, zip(scales, coeffs))
+    if scales:
+        ast = IdentityAST(ast.vars, _rescaled(ast.body,
+                                              dict(zip(scales, coeffs))))
+    value = evaluate(A, ast, bindings)
     if strategy == "basis" or value.is_zero():
         return _certificate(assumptions, value, names, A.basis, A.basis)
     return CheckReport("fails", _defect(
         None, A.basis, value, _find_specialization(value, ast.vars, names)),
         assumptions)
+
+
+def _rescaled(node, coeffs):
+    """The tree node with each Scale node's coefficient replaced by
+    coeffs[that node]."""
+    if isinstance(node, Scale):
+        return Scale(coeffs[node], _rescaled(node.child, coeffs))
+    if isinstance(node, Alpha):
+        return Alpha(node.power, _rescaled(node.child, coeffs))
+    if isinstance(node, Mu):
+        return Mu(_rescaled(node.left, coeffs), _rescaled(node.right, coeffs))
+    if isinstance(node, Sum):
+        return Sum(tuple((sign, _rescaled(child, coeffs))
+                         for sign, child in node.terms))
+    return node
 
 
 def _find_specialization(value, variables, names):

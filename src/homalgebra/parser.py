@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import ArityError, ParseError, UndeclaredParameter
 from .record import Record
-from .scalars import Scalar
+from .scalars import Scalar, _Wide
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
 _MAX_NESTING = 100   # far beyond real expressions, within Python's stack
@@ -280,13 +280,28 @@ class _Cursor:
 # --- scalar expressions --------------------------------------------------------
 
 
+def declared_variables(names):
+    """The params of parse_scalar_expr for the scalars of one table and its
+    maps: names as variables in one layout, so those scalars need no
+    re-pack, or names as they are when that layout would be wide, so that
+    each scalar takes a layout of the names it uses."""
+    gens = Scalar.gens(names)
+    if gens and isinstance(gens[0].num.ring, _Wide):
+        return names
+    return dict(zip(names, gens))
+
+
 def parse_scalar_expr(text, params):
-    """Parse a scalar expression over the declared parameter names."""
+    """Parse a scalar expression over the declared parameter names params,
+    or over a dict of them to their variables in one layout, which the
+    expressions parsed with that dict share (see declared_variables)."""
     cur = _Cursor(text)
-    # the declared names the expression uses, as variables in one layout
-    used = list(set(params).intersection(
-        t.text for t in cur.tokens if t.kind == "ident"))
-    declared = dict(zip(used, Scalar.gens(used))) if used else {}
+    declared = params
+    if not isinstance(params, dict):
+        # the declared names the expression uses, as variables in one layout
+        used = list(set(params).intersection(
+            t.text for t in cur.tokens if t.kind == "ident"))
+        declared = dict(zip(used, Scalar.gens(used))) if used else {}
     value = _scalar_expr(cur, declared)
     if cur.current.kind != "eof":
         cur.fail("end of input")

@@ -30,7 +30,8 @@ otherwise in a new layout over the union of their names; a product whose
 degree would overflow a field goes to fields twice as wide.  A constant is
 the key 0 in every layout and needs no re-packing, and a caller that knows
 its variables in advance puts them in one layout (Scalar.gens,
-shared_layout), so arithmetic among them never re-packs.  A layout whose
+shared_layout), as a table or map does with its constants (one_layout), so
+arithmetic among them never re-packs.  A layout whose
 keys would pass _PACK_BITS bits is wide (_Wide): its keys are tuples of
 only the variables a monomial uses, so a term's size follows its own
 variables, not the layout's.  Monomial is the public form of a monomial,
@@ -1265,8 +1266,6 @@ def _sums_of_products(rows):
         get = acc.get
         total = None
         for factors in row or ():
-            # part: the terms of the factors before last, multiplied out
-            part = last = None
             for s in factors:
                 if s.den is not _ONE and not s.den.is_one():
                     factors = reversed(factors)
@@ -1275,19 +1274,22 @@ def _sums_of_products(rows):
                         product = s * product
                     total = product if total is None else total + product
                     break
-                p = s.num
-                t = p.terms
-                if (p.ring is not ring and p.ring is not _EMPTY
-                        and not _is_const(t)):
-                    if ring is not None:
-                        return _sums_of_products(_repacked(rows))
-                    ring = p.ring
-                if last is not None:
-                    part = last if part is None else [
-                        (k1 + k2, c1 * c2) for k1, c1 in part
-                        for k2, c2 in last]
-                last = t.items()
             else:
+                # part: the terms of the factors before last, multiplied out
+                part = last = None
+                for s in factors:
+                    p = s.num
+                    t = p.terms
+                    if (p.ring is not ring and p.ring is not _EMPTY
+                            and not _is_const(t)):
+                        if ring is not None:
+                            return _sums_of_products(_repacked(rows))
+                        ring = p.ring
+                    if last is not None:
+                        part = last if part is None else [
+                            (k1 + k2, c1 * c2) for k1, c1 in part
+                            for k2, c2 in last]
+                    last = t.items()
                 for k1, c1 in part:
                     for k2, c2 in last:
                         k = k1 + k2
@@ -1306,18 +1308,32 @@ def _sums_of_products(rows):
 
 
 def _repacked(rows):
-    """rows with every non-constant factor of denominator 1 re-packed into
-    one layout that holds the degree of each tuple's product of them."""
+    """rows with every non-constant factor of the tuples whose factors all
+    have denominator 1 re-packed into one layout that holds the degree of
+    each such tuple's product."""
     polys = {}
     degree = 0
     for factors in chain.from_iterable(filter(None, rows)):
-        mine = [s for s in factors
-                if s.den.is_one() and not s.num.is_constant()]
-        polys.update((id(s), s) for s in mine)
-        degree = max(degree, sum(_degree(s.num) for s in mine))
+        if all(s.den.is_one() for s in factors):
+            mine = [s for s in factors if not s.num.is_constant()]
+            polys.update((id(s), s) for s in mine)
+            degree = max(degree, sum(_degree(s.num) for s in mine))
     packed = dict(zip(polys, shared_layout([*polys.values()], (), degree)[0]))
     return [[tuple(packed.get(id(s), s) for s in factors)
              for factors in row or ()] for row in rows]
+
+
+def one_layout(values):
+    """The list of Scalars values as it is when its polynomials that are not
+    constants share one layout, else re-packed into one (shared_layout):
+    for a table or a map whose constants were built one by one, each in a
+    layout of its own names, so that products among them never re-pack."""
+    rings = {s.num.ring for s in values} | {s.den.ring for s in values}
+    if len(rings - {_EMPTY}) > 1:
+        # a constant is the key 0 of whatever layout it is in
+        rings = {p.ring for s in values for p in (s.num, s.den)
+                 if not _is_const(p.terms)}
+    return values if len(rings - {_EMPTY}) < 2 else shared_layout(values)[0]
 
 
 def nonzero_constraints(poly):

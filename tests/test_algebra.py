@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from homalgebra import algebra as algebra_module
-from homalgebra import catalog, scalars
+from homalgebra import catalog, fileio, scalars
 from homalgebra.algebra import (
     AlgebraSpec,
     LinMap,
@@ -615,7 +615,7 @@ class TestCertificatesAgainstReference:
 
 
 @pytest.mark.parametrize("key", catalog.list_keys())
-def test_certificates_never_decline_the_kernel(key, kernel):
+def test_certificates_never_decline_the_kernel(key, kernel, repacks):
     # the certificates re-pack the tables and the map into the layout of
     # their generic elements, so no product meets two layouts
     entry = catalog.get(key)
@@ -625,7 +625,33 @@ def test_certificates_never_decline_the_kernel(key, kernel):
         for other in map(catalog.get, catalog.list_keys()):
             if other.algebra.dim == A.dim:
                 is_morphism(A, other.algebra, f)
-    assert kernel and None not in kernel
+    assert kernel and repacks == []
+
+
+@pytest.mark.parametrize("key", catalog.list_keys())
+def test_a_built_or_loaded_table_is_in_one_layout(key, repacks):
+    # each constant of a catalog table or a loaded file is built in a
+    # layout of its own names; a spec puts its table and twist map in one,
+    # and a map its entries, so products of basis vectors, their images
+    # under the twist map and the powers of a map never re-pack
+    entry = catalog.get(key)
+    loaded = fileio.loads(fileio.saves(entry.algebra, entry.maps))
+    for A, maps in ((entry.algebra, entry.maps), (loaded.algebra,
+                                                  loaded.maps)):
+        E = [A.basis_vector(i) for i in range(A.dim)]
+        for x in E:
+            for y in E:
+                xy = mul(A, x, y)
+                for z in E:
+                    mul(A, xy, z)
+                if A.alpha is not None:
+                    apply_map(A.alpha, apply_map(A.alpha, xy))
+        for f in maps.values():
+            compose(f, compose(f, f))
+    assert repacks == []
+    # a file's scalars are parsed in one layout, its maps' too
+    assert len(_layouts(loaded.algebra.mu_scalars(),
+                        *(f.scalars() for f in loaded.maps.values()))) <= 1
 
 
 # --- the multiply-accumulate kernel against a Scalar fold ----------------------
@@ -651,6 +677,13 @@ def _fold_apply(f, v):
 def _fold_compose(f, g):
     return [[sum((f.entry(i, m) * g.entry(m, j) for m in range(f.dim)),
                  Scalar.zero()) for j in range(f.dim)] for i in range(f.dim)]
+
+
+def _layouts(*sources):
+    """The layouts of the polynomials of the Scalars in sources that are
+    not constants."""
+    return {p.ring for source in sources for c in source
+            for p in (c.num, c.den) if not p.is_constant()}
 
 
 def _assert_same(got, want):
@@ -746,7 +779,8 @@ class TestMultiplyAccumulate:
         assert kernel and None not in kernel
         assert repacks == []
 
-    def test_fractions_cancel_to_an_integer_or_to_zero(self, kernel):
+    def test_fractions_cancel_to_an_integer_or_to_zero(self, kernel,
+                                                      repacks):
         x0, x1 = Scalar.gens(["x0", "x1"])
         x = Vector([x0, x1])
         half = Fraction(1, 2)
@@ -769,7 +803,7 @@ class TestMultiplyAccumulate:
         assert [type(c) for c in got[0].num.monomials().values()] == [int]
         assert [type(c) for c in got[1].num.monomials().values()] == \
             [Fraction]
-        assert None not in kernel
+        assert kernel and repacks == []
 
     def test_two_layouts_are_repacked(self, kernel, repacks):
         rng = random.Random(1620)
@@ -795,6 +829,22 @@ class TestMultiplyAccumulate:
         one = scalars._sums_of_products([[(Scalar.from_fraction(2), ys[0])]])
         assert one == [ys[0] * 2] and len(repacks) == 4
 
+    def test_a_tuple_with_a_denominator_takes_no_layout(self, repacks):
+        # a tuple with a real denominator is a Scalar product, which works
+        # across layouts: none of its factors sets the row's layout, and a
+        # re-pack of the row leaves them as they are
+        xs = Scalar.gens(["x1", "x2"])
+        ys = Scalar.gens(["y1", "y2"])   # a layout of their own
+        r = 1 / (ys[1] + 1)
+        got = scalars._sums_of_products([[(ys[0], r), (xs[0], xs[1])]])
+        assert got == [ys[0] * r + xs[0] * xs[1]] and repacks == []
+        rows = [[(ys[0], r), (xs[0], ys[1])]]
+        got = scalars._sums_of_products(rows)
+        assert got == [ys[0] * r + xs[0] * ys[1]]
+        (repacked,) = scalars._repacked(rows)
+        assert repacked[0][0] is ys[0] and repacked[0][1] is r
+        assert repacked[1][0].num.ring is repacked[1][1].num.ring
+
     def test_a_product_past_the_layout_limit_is_repacked(self, kernel,
                                                            repacks):
         s, t = Scalar.gens(["s", "t"])
@@ -814,16 +864,16 @@ class TestMultiplyAccumulate:
         assert len(repacks) == 1 and got[0].num.ring is ring
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_a_wide_layout(self, kernel, seed):
+    def test_a_wide_layout(self, kernel, repacks, seed):
         names = ["p%d" % i for i in range(130)]
         gens = Scalar.gens(names)
         assert gens[0].num.ring.limit == 0   # keys are tuples, never overflow
         rng = random.Random(1630 + seed)
         A, f, g, u, v = _random_case(rng, rng.sample(gens, 8), FRACTIONS, 3)
         _assert_all_match(A, f, g, u, v)
-        assert kernel and None not in kernel
+        assert kernel and repacks == []
 
-    def test_zero_and_constant_vectors(self, kernel, octonions):
+    def test_zero_and_constant_vectors(self, kernel, repacks, octonions):
         A = octonions.algebra
         zero = Vector.zero(A.dim)
         c = Vector([Scalar.from_fraction(Fraction(i - 3, 2)) for i in range(8)])
@@ -834,9 +884,9 @@ class TestMultiplyAccumulate:
         for v in (zero, c):
             _assert_same(apply_map(f, v).coords, _fold_apply(f, v))
         assert mul(A, zero, c).is_zero()
-        assert kernel and None not in kernel
+        assert kernel and repacks == []
 
-    def test_a_rational_table_matches_the_fold(self, kernel):
+    def test_a_rational_table_matches_the_fold(self, kernel, repacks):
         A = catalog.get("alt4_mu1_twist_alpha1").algebra
         assert not all(c.den.is_one() for c in A.mu_scalars())
         assert not all(c.den.is_one() for c in A.alpha.scalars())
@@ -850,8 +900,12 @@ class TestMultiplyAccumulate:
                              _fold_compose(A.alpha, A.alpha)):
             _assert_same(row, want)
         assert kernel and None not in kernel
+        # the vectors and the table are in two layouts, so mul and apply_map
+        # re-pack once each; alpha is in one layout, so compose does not
+        assert len(repacks) == 2
 
-    def test_a_rational_vector_matches_the_fold(self, kernel, octonions):
+    def test_a_rational_vector_matches_the_fold(self, kernel, repacks,
+                                                octonions):
         A = octonions.algebra
         u = Vector([S("a") / (S("a") + 1)] + [S("b")] * 7)
         v = Vector([S("a")] * 8)
@@ -859,6 +913,9 @@ class TestMultiplyAccumulate:
         _assert_same(apply_map(identity(8), u).coords,
                      _fold_apply(identity(8), u))
         assert kernel and None not in kernel
+        # mul re-packs once, as b and a are in two layouts; apply_map's
+        # products with a/(a + 1) are Scalar products in any layouts
+        assert len(repacks) == 1
 
     def test_a_sum_of_reciprocals_takes_no_multi_term_gcd(self, monkeypatch):
         # the constant 1/S + 1/(S + 1) over the sum S of 200 names: its
@@ -906,6 +963,9 @@ class TestEveryRoute:
         for B in algebras:
             _assert_same(mul(B, u, v).coords, _fold_mul(B, u, v))
             _assert_same(mul(B, v, u).coords, _fold_mul(B, v, u))
+            # each route leaves its table and twist map in one layout
+            assert len(_layouts(B.mu_scalars(), B.alpha.scalars()
+                                if B.alpha is not None else ())) <= 1
         maps = [f, g, twist, invert(twist), compose(f, twist),
                 f.substitute({"a": 3}), identity(dim)]
         for m in maps:
@@ -913,4 +973,5 @@ class TestEveryRoute:
             for n in (g, twist):
                 for row, want in zip(compose(m, n).rows, _fold_compose(m, n)):
                     _assert_same(row, want)
-        assert kernel and None not in kernel
+            assert len(_layouts(m.scalars())) <= 1
+        assert kernel
