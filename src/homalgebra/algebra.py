@@ -13,9 +13,7 @@ so the statement is exact on the open set where those denominators are
 nonzero; the report lists the constraints.  A certificate is an identity,
 checked as homalgebra.identities checks one: its residual on generic
 elements, computed once, with the first failing basis pair (or vector) read
-off its keys, so failing costs what holding does.  The subalgebra check
-scans its spanning pairs instead: its reduction modulo the span is not
-linear.
+off its keys, so failing costs what holding does.
 
 mul and apply_map (and so all built on them) compute every output
 coordinate with one multiply-accumulate, scalars._sums_of_products, which
@@ -29,7 +27,7 @@ among them never re-pack.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import islice
 
 from .errors import (
     DimensionMismatch,
@@ -39,6 +37,7 @@ from .errors import (
 )
 from .record import Record
 from .scalars import (
+    _ONE,
     Scalar,
     _coerce,
     _raw,
@@ -214,35 +213,52 @@ def compose(f, g):
 
 
 def invert(f):
-    """Exact inverse by Gauss-Jordan elimination; SingularMap if det = 0."""
+    """Exact inverse: [f | I] by Gauss-Jordan; SingularMap if det = 0."""
     n = f.dim
-    work = [list(row) for row in f.rows]
-    inv = [list(row) for row in identity(n).rows]
-    for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not work[r][col].is_zero():
-                pivot_row = r
-                break
-        if pivot_row is None:
-            raise SingularMap("matrix is singular (no pivot in column %d)" % col)
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = work[col][col]
-        for c in range(n):
-            work[col][c] = work[col][c] / pivot
-            inv[col][c] = inv[col][c] / pivot
-        for r in range(n):
-            if r == col:
+    pivots, rows = _gauss_jordan([row + unit for row, unit
+                                  in zip(f.rows, identity(n).rows)])
+    # [f | I] has rank n: a first pivot past column col means none in col
+    for col, (c, _) in enumerate(pivots):
+        if c != col:
+            raise SingularMap("matrix is singular (no pivot in column %d)"
+                              % col)
+    zero = Scalar.zero()
+    return LinMap([[row.get(c, zero) for c in range(n, 2 * n)]
+                   for row in rows])
+
+
+def _gauss_jordan(rows):
+    """Gauss-Jordan elimination of rows (Scalar tuples of one length),
+    column by column, the pivot row of a column the first remaining
+    row that is nonzero there: the pivots, (column, entry before scaling),
+    and the reduced rows in the same order, each a {column: Scalar} of its
+    nonzero entries: 1 at its own pivot column, 0 at the other pivots'.
+    Zero entries are never touched."""
+    rest = [{c: x for c, x in enumerate(row) if not x.is_zero()}
+            for row in rows]
+    zero = Scalar.zero()
+    pivots, reduced = [], []
+    for col in sorted(set().union(*rest)):
+        i = next((i for i, r in enumerate(rest) if col in r), None)
+        if i is None:
+            continue
+        row = rest.pop(i)
+        p = row[col]
+        if not p.is_one():
+            row = {c: x / p for c, x in row.items()}
+        for other in rest + reduced:
+            factor = other.get(col)
+            if factor is None:
                 continue
-            factor = work[r][col]
-            if factor.is_zero():
-                continue
-            for c in range(n):
-                work[r][c] = work[r][c] - factor * work[col][c]
-                inv[r][c] = inv[r][c] - factor * inv[col][c]
-    return LinMap(inv)
+            for c, x in row.items():
+                y = other.get(c, zero) - factor * x
+                if y.is_zero():
+                    other.pop(c, None)
+                else:
+                    other[c] = y
+        pivots.append((col, p))
+        reduced.append(row)
+    return pivots, reduced
 
 
 class Param(Record):
@@ -481,7 +497,7 @@ def mul(A, u, v):
             ks = table.get((i, j))
             if ks:
                 # with a denominator, u_i * v_j once per pair, not per k
-                pair = ((ui, vj) if ui.den.is_one() and vj.den.is_one()
+                pair = ((ui, vj) if ui.den is _ONE and vj.den is _ONE
                         else (ui * vj,))
                 for k, c in ks:
                     rows.setdefault(k, []).append((c, *pair))
@@ -523,14 +539,10 @@ def _certificate(assumptions, value, names, at_labels, labels):
                                                labels), assumptions)
 
 
-def _first_nonzero(vec):
-    return next(k for k, c in enumerate(vec.coords) if not c.is_zero())
-
-
 def _defect(at, labels, diff, specialization=None):
     """Witness for a nonzero vector, reported at its first nonzero
     coordinate."""
-    k = _first_nonzero(diff)
+    k = next(k for k, c in enumerate(diff.coords) if not c.is_zero())
     return Witness(at=at, coordinate=labels[k], residual=diff.coords[k],
                    residual_vector=diff, specialization=specialization)
 
@@ -694,57 +706,37 @@ def check_unit(A, u):
 # --- subalgebra closure -------------------------------------------------------
 
 
-class _Echelon:
-    """Row echelon basis over Scalars, fraction-free, first-nonzero pivoting."""
-
-    def __init__(self):
-        self.rows = []          # list of (pivot_col, Vector)
-        self.pivot_constraints = []
-
-    def reduce(self, v):
-        """Residue of v modulo the span; fraction-free cross-multiplication."""
-        for pivot_col, row in self.rows:
-            c = v.coords[pivot_col]
-            if c.is_zero():
-                continue
-            p = row.coords[pivot_col]
-            v = v.scale(p) - row.scale(c)
-        return v
-
-    def insert(self, v):
-        """Reduce v and add it to the basis if independent."""
-        v = self.reduce(v)
-        if v.is_zero():
-            return
-        pivot_col = _first_nonzero(v)
-        pivot = v.coords[pivot_col]
-        for c in nonzero_constraints(pivot.num):
-            if c not in self.pivot_constraints:
-                self.pivot_constraints.append(c)
-        self.rows.append((pivot_col, v))
-        self.rows.sort(key=lambda pr: pr[0])
-
-
 def is_subalgebra(A, gens):
-    """Span of gens closed under the product (and under alpha, if present)?"""
-    ech = _Echelon()
+    """Is the span of gens closed under the product (and under alpha, if
+    present)?  A certificate on generic elements of the span: with R the
+    map whose column a is the reduced row span#a of the gens (_gauss_jordan),
+    x = R g_x and y = R g_y, and w is in the span iff its residual
+    w - R (w at the pivot columns) is 0, which is linear in w because the
+    rows are reduced.  The pivots' numerators are assumed nonzero."""
     for g in gens:
         if g.dim != A.dim:
             raise DimensionMismatch("generator dimension does not match the algebra")
-        ech.insert(g)
-    span = [("span#%d" % a, row) for a, (_, row) in enumerate(ech.rows)]
-    assumptions = _collect_constraints(
-        A.mu_scalars(), (c for g in gens for c in g.coords),
-        A.alpha.scalars() if A.alpha is not None else ())
-    assumptions = tuple(sorted(set(assumptions) | set(ech.pivot_constraints),
-                               key=name_key))
-    # a residual scan: the reduction modulo the span is not linear
-    for at, w in chain(
-            (((a, b), mul(A, u, v)) for a, u in span for b, v in span),
-            (((a,), apply_map(A.alpha, u))
-             for a, u in (span if A.alpha is not None else ()))):
-        diff = ech.reduce(w)
-        if not diff.is_zero():
-            return CheckReport("fails", _defect(at, A.basis, diff),
-                               assumptions)
-    return CheckReport(_verdict(assumptions), None, assumptions)
+    pivots, rows = _gauss_jordan([g.coords for g in gens])
+    zero = Scalar.zero()
+    pad = [zero] * (A.dim - len(rows))
+    R = LinMap([[row.get(k, zero) for row in rows] + pad
+                for k in range(A.dim)])
+    assumptions = tuple(sorted(
+        {*_collect_constraints(
+            A.mu_scalars(), (c for g in gens for c in g.coords),
+            A.alpha.scalars() if A.alpha is not None else ()),
+         *(c for _, p in pivots for c in nonzero_constraints(p.num))},
+        key=name_key))
+    twisted = A.alpha is not None
+    (S,), g, names, v, _ = _generic_elements((A,), "xy", (), twisted, R)
+
+    def residual(w):
+        return w - apply_map(g, Vector._of([w[c] for c, _ in pivots] + pad))
+
+    x = apply_map(g, v["x"])
+    value = residual(mul(S, x, apply_map(g, v["y"])))
+    if twisted and value.is_zero():
+        value = residual(apply_map(S.alpha, x))
+        names = names[:1]
+    return _certificate(assumptions, value, names,
+                        ["span#%d" % a for a in range(A.dim)], A.basis)

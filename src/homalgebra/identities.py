@@ -305,21 +305,17 @@ class BuiltinIdentity(Record):
     """A named identity with its AST(s) and surface form(s).
 
     asts has a single element for plain identities; combination entries
-    (noncommutative_hom_jordan) carry one AST per conjunct.  universal is
-    False for identities meant to be evaluated on chosen bindings (the
-    anticommuting-pair consequences) rather than over all of V.
+    (noncommutative_hom_jordan) carry one AST per conjunct.
     """
 
-    __slots__ = ("name", "asts", "surfaces", "requires_commutative",
-                 "universal", "note")
+    __slots__ = ("name", "asts", "surfaces", "requires_commutative", "note")
 
     def __init__(self, name, asts, surfaces, requires_commutative=False,
-                 universal=True, note=""):
+                 note=""):
         self.name = name
         self.asts = asts
         self.surfaces = surfaces
         self.requires_commutative = requires_commutative
-        self.universal = universal
         self.note = note
 
     @property
@@ -397,12 +393,10 @@ def _make_builtins():
         note="variant with the twist pushed inside the squared factor")
     add("anticommute_left_consequence",
         "mu(al(x), mu(y, z)) + mu(al(y), mu(x, z)) = 0",
-        universal=False,
         note="left product consequence for anticommuting x, y; evaluate on "
              "bindings with mu(x, y) = -mu(y, x)")
     add("anticommute_right_consequence",
         "mu(mu(z, x), al(y)) + mu(mu(z, y), al(x)) = 0",
-        universal=False,
         note="right product consequence for anticommuting x, y; evaluate on "
              "bindings with mu(x, y) = -mu(y, x)")
     add("noncommutative_hom_jordan",

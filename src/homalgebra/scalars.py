@@ -1001,12 +1001,13 @@ class Scalar:
         self.num = canonical.num
         self.den = canonical.den
 
-    # normalize() builds instances directly via _make to avoid recursion
+    # normalize() builds instances directly via _make to avoid recursion;
+    # the shared _ONE is the only denominator 1, so a test for it is `is`
     @classmethod
     def _make(cls, num, den):
         s = cls.__new__(cls)
         s.num = num
-        s.den = den
+        s.den = den if den is _ONE or not den.is_one() else _ONE
         return s
 
     @classmethod
@@ -1037,7 +1038,7 @@ class Scalar:
         return not self.num.terms
 
     def is_one(self):
-        return self.num.is_one() and self.den.is_one()
+        return self.den is _ONE and self.num.is_one()
 
     def variables(self):
         return self.num.variables() | self.den.variables()
@@ -1058,8 +1059,8 @@ class Scalar:
 
     def __mul__(self, other):
         other = _coerce(other)
-        if self.den.is_one() and other.den.is_one():
-            return Scalar._make(self.num * other.num, self.den)
+        if self.den is _ONE and other.den is _ONE:
+            return Scalar._make(self.num * other.num, _ONE)
         return _product(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
@@ -1096,7 +1097,7 @@ class Scalar:
 
     def __hash__(self):
         # a constant hashes as its Fraction value, as it compares equal to it
-        if self.den.is_one() and self.num.is_constant():
+        if self.den is _ONE and self.num.is_constant():
             return hash(self.num.terms.get(0, 0))
         return hash((self.num, self.den))
 
@@ -1125,7 +1126,7 @@ class Scalar:
         return nonzero_constraints(self.den)
 
     def __str__(self):
-        if self.den.is_one():
+        if self.den is _ONE:
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 
@@ -1142,11 +1143,11 @@ def shared_layout(values, names=(), degree=0):
     """(values, gens): the Scalars values re-packed into one layout that
     holds their variables and names, their degrees and degree, and the
     variables names as Scalars in that layout, so that arithmetic among all
-    of them never re-packs a key.  Every denominator 1 becomes the shared
-    _ONE, and a constant over it is returned as it is: the key 0 is the
-    same in every layout.  For a caller that knows its variables in
-    advance, such as a check on generic elements."""
-    polys = [p for s in values if not (s.den.is_one() and s.num.is_constant())
+    of them never re-packs a key.  A constant (over _ONE, the only
+    denominator 1) is returned as it is: the key 0 is the same in every
+    layout.  For a caller that knows its variables in advance, such as a
+    check on generic elements."""
+    polys = [p for s in values if not (s.den is _ONE and s.num.is_constant())
              for p in (s.num, s.den)]
     # each layout ORs the keys of its polynomials and decodes them once
     terms = {}
@@ -1157,7 +1158,7 @@ def shared_layout(values, names=(), degree=0):
     layout = _layout(tuple(sorted(used, key=name_key)),
                      max([degree, *map(_degree, polys)]))
     packed = [s if s.den is _ONE and s.num.is_constant() else
-              Scalar._make(_repack(s.num, layout), _ONE if s.den.is_one()
+              Scalar._make(_repack(s.num, layout), _ONE if s.den is _ONE
                            else _repack(s.den, layout))
               for s in values]
     return packed, [Scalar._make(p, _ONE) for p in _gens(layout, names)]
@@ -1179,13 +1180,13 @@ def _sum(x, y, op):
     gcd of the denominators (none when one is 1) and at most one more gcd
     with that, never one of the multiplied-out sum.
     """
-    if x.den.is_one() and y.den.is_one():
+    if x.den is _ONE and y.den is _ONE:
         return Scalar._make(op(x.num, y.num), _ONE)
     a, b, c, d = x.num, x.den, y.num, y.den
     # gcd(a*d + c, d) = gcd(c, d) = 1, so these are canonical as they stand
-    if b.is_one():
+    if b is _ONE:
         return Scalar._make(op(a * d, c), d)
-    if d.is_one():
+    if d is _ONE:
         return Scalar._make(op(a, c * b), b)
     if b == d:
         g = b
@@ -1249,10 +1250,9 @@ def _sums_of_products(rows):
     list rows (None for an empty row), each tuple two or more Scalars: the
     multiply-accumulate of a vector product or a map image.
 
-    Tuples whose factors all have denominator 1 (tested by identity first:
-    shared_layout makes each the shared _ONE) are multiplied out into one
-    {key: coefficient} dict per row, one _q per coefficient at the end
-    (Johnson 1974).  The others are Scalar products and sums, whose cross
+    Tuples whose factors all have denominator 1 (the shared _ONE, so
+    tested by identity) are multiplied out into one {key: coefficient}
+    dict per row, one _q per coefficient at the end (Johnson 1974).  The others are Scalar products and sums, whose cross
     gcds cancel each denominator as they go (Henrici); the dict's Scalar is
     added last.  Dict factors in two layouts, or a term product at its
     layout's limit (every key is below it, so a product whose degree would
@@ -1267,7 +1267,7 @@ def _sums_of_products(rows):
         total = None
         for factors in row or ():
             for s in factors:
-                if s.den is not _ONE and not s.den.is_one():
+                if s.den is not _ONE:
                     factors = reversed(factors)
                     product = next(factors)
                     for s in factors:
@@ -1314,7 +1314,7 @@ def _repacked(rows):
     polys = {}
     degree = 0
     for factors in chain.from_iterable(filter(None, rows)):
-        if all(s.den.is_one() for s in factors):
+        if all(s.den is _ONE for s in factors):
             mine = [s for s in factors if not s.num.is_constant()]
             polys.update((id(s), s) for s in mine)
             degree = max(degree, sum(_degree(s.num) for s in mine))

@@ -33,7 +33,7 @@ from homalgebra.errors import (
     NotEndomorphism,
     SingularMap,
 )
-from homalgebra.scalars import Scalar, name_key
+from homalgebra.scalars import Scalar, name_key, nonzero_constraints
 
 
 def S(name):
@@ -107,7 +107,7 @@ class TestLinMaps:
             A.basis_vector("e2").scale(S("a") ** 2)
 
     def test_singular_map(self, mu1):
-        with pytest.raises(SingularMap):
+        with pytest.raises(SingularMap, match="no pivot in column 1"):
             invert(mu1.maps["alpha1"])   # alpha1 kills e1
 
     def test_invert_roundtrip_dense(self):
@@ -465,6 +465,44 @@ def reference_unit(A, u):
     return _ref_holds(assumptions)
 
 
+def reference_is_subalgebra(A, gens):
+    """The fraction-free scan: the gens in row echelon form by
+    cross-multiplied elimination, each row's first nonzero its pivot, then
+    every product of two rows and every image of a row under alpha reduced
+    modulo the rows, a failure at the first nonzero remainder."""
+    rows = []                       # (pivot column, row), by column
+
+    def reduce(v):
+        for col, row in rows:
+            c = v.coords[col]
+            if not c.is_zero():
+                v = v.scale(row.coords[col]) - row.scale(c)
+        return v
+
+    pivots = set()
+    for g in gens:
+        v = reduce(g)
+        if v.is_zero():
+            continue
+        col = next(k for k, c in enumerate(v.coords) if not c.is_zero())
+        pivots.update(nonzero_constraints(v.coords[col].num))
+        rows.append((col, v))
+        rows.sort(key=lambda r: r[0])
+    assumptions = tuple(sorted(set(_ref_constraints(
+        A.mu_scalars(), (c for g in gens for c in g.coords),
+        A.alpha.scalars() if A.alpha is not None else ())) | pivots,
+        key=name_key))
+    span = [("span#%d" % a, row) for a, (_, row) in enumerate(rows)]
+    images = [((a, b), mul(A, u, v)) for a, u in span for b, v in span]
+    if A.alpha is not None:
+        images += [((a,), apply_map(A.alpha, u)) for a, u in span]
+    for at, w in images:
+        diff = reduce(w)
+        if not diff.is_zero():
+            return _ref_fails(assumptions, at, A.basis, diff)
+    return _ref_holds(assumptions)
+
+
 def _fields(report):
     w = report.witness
     if w is None:
@@ -612,6 +650,52 @@ class TestCertificatesAgainstReference:
                   for f in _maps(entry).values()]
         for n, (S, T, f) in enumerate(cases):
             assert _fields(is_morphism(S, T, f)) == reference_morphism(S, T, f), n
+
+
+def _subalgebra_corpus(A, rng):
+    """Generator sets for A: each basis vector, every pair of them and the
+    whole basis; then sets of one to dim vectors drawn over Q, and of one
+    to three over Q and A's parameters (or t), a coordinate zero now and
+    then."""
+    n = A.dim
+    e = [A.basis_vector(i) for i in range(n)]
+    basis = [[v] for v in e] + [[e[i], e[j]] for i in range(n)
+                                for j in range(i + 1, n)] + [e]
+    params = [S(p) for p in A.param_names()] or [S("t")]
+
+    def draw(parametric):
+        if rng.random() < 0.4:
+            return Scalar.zero()
+        c = Scalar.from_fraction(Fraction(rng.randint(-3, 3),
+                                          rng.randint(1, 3)))
+        return c + rng.choice(params) if parametric and rng.random() < 0.5 \
+            else c
+    # the scan's fraction-free rows grow fast over parameters: at most 3
+    drawn = [[Vector([draw(parametric) for _ in range(n)])
+              for _ in range(rng.randint(1, 3 if parametric else n))]
+             for parametric in (False, True) for _ in range(6)]
+    return basis, drawn
+
+
+@pytest.mark.parametrize("key", catalog.list_keys())
+def test_subalgebra_against_the_scan(key):
+    # the certificate reduces modulo the reduced rows of the span, the scan
+    # modulo a fraction-free echelon: on basis vectors the rows are the
+    # same and so is every field of the report; on other generators the
+    # residuals are rescaled, and the pivot constraints can be rescaled or
+    # factored otherwise
+    A = catalog.get(key).algebra
+    basis, drawn = _subalgebra_corpus(A, random.Random("subalgebra " + key))
+    verdicts = []
+    for gens in basis:
+        report = is_subalgebra(A, gens)
+        assert _fields(report) == reference_is_subalgebra(A, gens), gens
+        verdicts.append(report.verdict)
+    for gens in drawn:
+        report = is_subalgebra(A, gens)
+        assert report.verdict == reference_is_subalgebra(A, gens)[0], gens
+        verdicts.append(report.verdict)
+    assert "fails" in verdicts and len(set(verdicts)) > 1
 
 
 @pytest.mark.parametrize("key", catalog.list_keys())

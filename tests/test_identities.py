@@ -268,11 +268,6 @@ class TestBuiltins:
         assert not builtin("hom_associative").requires_commutative
         assert not builtin("noncommutative_hom_jordan").requires_commutative
 
-    def test_non_universal_flags(self):
-        assert not builtin("anticommute_left_consequence").universal
-        assert not builtin("anticommute_right_consequence").universal
-        assert builtin("hom_flexible").universal
-
     @pytest.mark.parametrize("name", builtin_names())
     def test_surface_parses_to_the_stored_ast(self, name):
         # a fresh parse is a distinct tree that must hit the same memo and

@@ -44,8 +44,8 @@ CASES = [
     (Report, ("command", "subject", "records", "notes"),
      ("verify", "f", [1], []), ("verify", "f", [1], ["n"]), False),
     (BuiltinIdentity, ("name", "asts", "surfaces", "requires_commutative",
-                       "universal", "note"),
-     ("n", (), (), False, True, ""), ("n", (), (), True, True, ""), True),
+                       "note"),
+     ("n", (), (), False, ""), ("n", (), (), True, ""), True),
     (CatalogEntry, ("key", "algebra", "maps", "provenance", "expected"),
      ("k", "A", (), "p", ()), ("k", "A", (), "q", ()), True),
 ]
@@ -104,7 +104,7 @@ def test_defaults():
         "witness=None, assumptions=(), elapsed=0.0, note='')")
     assert repr(BuiltinIdentity("n", (), ())) == (
         "BuiltinIdentity(name='n', asts=(), surfaces=(), "
-        "requires_commutative=False, universal=True, note='')")
+        "requires_commutative=False, note='')")
     assert repr(CatalogEntry("k", None, {}, "p")) == (
         "CatalogEntry(key='k', algebra=None, maps={}, provenance='p', "
         "expected=())")

@@ -103,6 +103,23 @@ class TestNormalize:
             if not s.den.is_one():
                 assert s.den.leading_coeff() == 1
 
+    def test_the_shared_one_is_the_only_denominator_one(self, rng):
+        # the multiply-accumulate and the sums test a denominator 1 by
+        # identity, so every producer must hand back the shared one
+        a = S("a")
+        ones = [((a + 1) / 2) ** 70, parse_scalar_expr("3/2", []),
+                a / (a + 1) * ((a + 1) / a), (a + 1) / 3 * 3,
+                a / (a + 1) + Scalar.one() / (a + 1),
+                Scalar(P("a"), Polynomial.const(1)),
+                normalize(P("a") * P("b"), P("b"))]
+        for s in ones:
+            assert s.den is scalars._ONE, s
+        for _ in range(40):
+            x, y = random_scalar(rng), random_scalar(rng)
+            for s in [x * y, x + y, x - y, x ** 2] + (
+                    [x / y] if not y.is_zero() else []):
+                assert s.den is scalars._ONE or not s.den.is_one(), s
+
 
 @pytest.mark.usefixtures("key_form")
 class TestArith:
