@@ -45,7 +45,6 @@ from .scalars import (
     name_key,
     nonzero_constraints,
     normalize,
-    one_layout,
     shared_layout,
 )
 
@@ -132,7 +131,7 @@ def _same_dim(u, v):
 
 class LinMap:
     """Square matrix of Scalars; column j is the image of basis vector j.
-    The entries are in one layout (scalars.one_layout)."""
+    The entries are in one layout (scalars.shared_layout)."""
 
     __slots__ = ("rows",)
 
@@ -142,7 +141,7 @@ class LinMap:
         if any(len(row) != n for row in self.rows):
             raise DimensionMismatch("linear map matrix must be square")
         values = [x for row in self.rows for x in row]
-        packed = one_layout(values)
+        packed = shared_layout(values)[0]
         if packed is not values:
             packed = iter(packed)
             self.rows = tuple(tuple(islice(packed, n)) for _ in self.rows)
@@ -215,13 +214,14 @@ def compose(f, g):
 def invert(f):
     """Exact inverse: [f | I] by Gauss-Jordan; SingularMap if det = 0."""
     n = f.dim
-    pivots, rows = _gauss_jordan([row + unit for row, unit
-                                  in zip(f.rows, identity(n).rows)])
-    # [f | I] has rank n: a first pivot past column col means none in col
-    for col, (c, _) in enumerate(pivots):
+    rows = []
+    # [f | I] has rank n: a pivot past column col means none in col
+    for col, (c, _, row) in enumerate(_gauss_jordan(
+            [row + unit for row, unit in zip(f.rows, identity(n).rows)])):
         if c != col:
             raise SingularMap("matrix is singular (no pivot in column %d)"
                               % col)
+        rows.append(row)
     zero = Scalar.zero()
     return LinMap([[row.get(c, zero) for c in range(n, 2 * n)]
                    for row in rows])
@@ -229,15 +229,15 @@ def invert(f):
 
 def _gauss_jordan(rows):
     """Gauss-Jordan elimination of rows (Scalar tuples of one length),
-    column by column, the pivot row of a column the first remaining
-    row that is nonzero there: the pivots, (column, entry before scaling),
-    and the reduced rows in the same order, each a {column: Scalar} of its
-    nonzero entries: 1 at its own pivot column, 0 at the other pivots'.
-    Zero entries are never touched."""
+    column by column, the pivot row of a column the first remaining row
+    nonzero there.  Yields each pivot as it is made, (column, entry before
+    scaling, row), row a {column: Scalar} of its nonzero entries, reduced
+    in place by later pivots to 1 at its own pivot column and 0 at the
+    others'.  Zero entries are never touched."""
     rest = [{c: x for c, x in enumerate(row) if not x.is_zero()}
             for row in rows]
     zero = Scalar.zero()
-    pivots, reduced = [], []
+    reduced = []
     for col in sorted(set().union(*rest)):
         i = next((i for i, r in enumerate(rest) if col in r), None)
         if i is None:
@@ -256,9 +256,8 @@ def _gauss_jordan(rows):
                     other.pop(c, None)
                 else:
                     other[c] = y
-        pivots.append((col, p))
         reduced.append(row)
-    return pivots, reduced
+        yield col, p, row
 
 
 class Param(Record):
@@ -335,7 +334,7 @@ class AlgebraSpec:
     (i, j) -> {k: Scalar}; omitted products are zero.  alpha, when present,
     is the twisting map of the Hom-structure.  unit is an optional basis
     index.  The structure constants and alpha's entries are in one layout
-    (scalars.one_layout).
+    (scalars.shared_layout).
     """
 
     __slots__ = ("name", "dim", "basis", "params", "mu", "alpha", "unit",
@@ -372,38 +371,36 @@ class AlgebraSpec:
                                  % sorted(extra))
             entries.append((i, j, k, c))
         entries.sort(key=lambda e: e[:3])
-        self._set_table(entries, alpha, True)
+        self._set_table(entries, alpha)
         if unit is not None and not (0 <= unit < dim):
             raise ValueError("unit index out of range")
         self.unit = unit
 
-    def _copy(self, mu, alpha, pack=False):
+    def _copy(self, mu, alpha):
         """This spec with the entries mu, equal to self.mu's in their order
-        (such as re-packed ones), and the twist map alpha, re-packed if pack
-        is set: the table was validated when self was built, so only alpha's
-        dimension is checked."""
+        (such as re-packed ones), and the twist map alpha; only alpha's
+        dimension is checked, as self's table was validated."""
         A = AlgebraSpec.__new__(AlgebraSpec)
         A.name, A.dim, A.basis = self.name, self.dim, self.basis
         A.params, A.unit = self.params, self.unit
-        A._set_table(mu, alpha, pack)
+        A._set_table(mu, alpha)
         return A
 
-    def _set_table(self, mu, alpha, pack):
+    def _set_table(self, mu, alpha):
         """Set mu, alpha and _table ({(i, j): [(k, c), ...]}) from the
-        entries mu and the twist map alpha (None or of dimension dim), and
-        if pack is set, put their Scalars in one layout (one_layout)."""
+        entries mu and the twist map alpha (None or of dimension dim), their
+        Scalars in one layout (scalars.shared_layout)."""
         if alpha is not None and alpha.dim != self.dim:
             raise DimensionMismatch("twisting map dimension %d vs algebra "
                                     "dimension %d" % (alpha.dim, self.dim))
-        if pack:
-            values = [c for _, _, _, c in mu]
-            if alpha is not None:
-                values += alpha.scalars()
-            packed = one_layout(values)
-            if packed is not values:
-                packed = iter(packed)
-                mu = [(i, j, k, next(packed)) for i, j, k, _ in mu]
-                alpha = None if alpha is None else alpha._copy(packed)
+        values = [c for _, _, _, c in mu]
+        if alpha is not None:
+            values += alpha.scalars()
+        packed = shared_layout(values)[0]
+        if packed is not values:
+            packed = iter(packed)
+            mu = [(i, j, k, next(packed)) for i, j, k, _ in mu]
+            alpha = None if alpha is None else alpha._copy(packed)
         self.mu, self.alpha, self._table = tuple(mu), alpha, {}
         table = self._table
         for i, j, k, c in self.mu:
@@ -449,7 +446,7 @@ class AlgebraSpec:
         return tuple(p.name for p in self.params)
 
     def with_alpha(self, alpha):
-        return self._copy(self.mu, alpha, True)
+        return self._copy(self.mu, alpha)
 
     def with_identity_alpha(self):
         return self.with_alpha(identity(self.dim))
@@ -716,22 +713,22 @@ def is_subalgebra(A, gens):
     for g in gens:
         if g.dim != A.dim:
             raise DimensionMismatch("generator dimension does not match the algebra")
-    pivots, rows = _gauss_jordan([g.coords for g in gens])
+    pivots = list(_gauss_jordan([g.coords for g in gens]))
     zero = Scalar.zero()
-    pad = [zero] * (A.dim - len(rows))
-    R = LinMap([[row.get(k, zero) for row in rows] + pad
+    pad = [zero] * (A.dim - len(pivots))
+    R = LinMap([[row.get(k, zero) for _, _, row in pivots] + pad
                 for k in range(A.dim)])
     assumptions = tuple(sorted(
         {*_collect_constraints(
             A.mu_scalars(), (c for g in gens for c in g.coords),
             A.alpha.scalars() if A.alpha is not None else ()),
-         *(c for _, p in pivots for c in nonzero_constraints(p.num))},
+         *(c for _, p, _ in pivots for c in nonzero_constraints(p.num))},
         key=name_key))
     twisted = A.alpha is not None
     (S,), g, names, v, _ = _generic_elements((A,), "xy", (), twisted, R)
 
     def residual(w):
-        return w - apply_map(g, Vector._of([w[c] for c, _ in pivots] + pad))
+        return w - apply_map(g, Vector._of([w[c] for c, *_ in pivots] + pad))
 
     x = apply_map(g, v["x"])
     value = residual(mul(S, x, apply_map(g, v["y"])))

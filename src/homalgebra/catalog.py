@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from .algebra import AlgebraSpec, LinMap, Param
 from .errors import UnknownKey
-from .parser import declared_variables, parse_scalar_expr
+from .parser import parse_scalar_expr
 from .record import Record
-from .scalars import Scalar
+from .scalars import Scalar, declared_variables
 
 
 class CatalogEntry(Record):

@@ -17,8 +17,9 @@ import json
 
 from .algebra import AlgebraSpec, LinMap, Param
 from .errors import DivisionByZero, ParseError, ValidationError
-from .parser import declared_variables, parse_scalar_expr
+from .parser import parse_scalar_expr
 from .record import Record
+from .scalars import declared_variables
 
 
 class AlgebraFile(Record):

@@ -38,7 +38,7 @@ from fractions import Fraction
 
 from .errors import ArityError, ParseError, UndeclaredParameter
 from .record import Record
-from .scalars import Scalar, _Wide
+from .scalars import Scalar
 
 _SYMBOLS = ("+", "-", "*", "/", "^", "(", ")", ",", "=")
 _MAX_NESTING = 100   # far beyond real expressions, within Python's stack
@@ -250,12 +250,8 @@ class _Cursor:
         return tok
 
     def expect(self, kind, description=None):
-        tok = self.current
-        if tok.kind != kind:
-            raise ParseError(
-                "expected %s, found %r" % (description or kind, tok.text or "end of input"),
-                tok.offset, tok.line, tok.column,
-                expected=description or kind, found=tok.text)
+        if self.current.kind != kind:
+            self.fail(description or kind)
         return self.advance()
 
     def exponent(self, description):
@@ -280,21 +276,10 @@ class _Cursor:
 # --- scalar expressions --------------------------------------------------------
 
 
-def declared_variables(names):
-    """The params of parse_scalar_expr for the scalars of one table and its
-    maps: names as variables in one layout, so those scalars need no
-    re-pack, or names as they are when that layout would be wide, so that
-    each scalar takes a layout of the names it uses."""
-    gens = Scalar.gens(names)
-    if gens and isinstance(gens[0].num.ring, _Wide):
-        return names
-    return dict(zip(names, gens))
-
-
 def parse_scalar_expr(text, params):
     """Parse a scalar expression over the declared parameter names params,
     or over a dict of them to their variables in one layout, which the
-    expressions parsed with that dict share (see declared_variables)."""
+    expressions parsed with it share (scalars.declared_variables)."""
     cur = _Cursor(text)
     declared = params
     if not isinstance(params, dict):
@@ -324,12 +309,26 @@ def _scalar_expr(cur, declared):
 
 
 def _scalar_term(cur, declared):
-    value = _scalar_factor(cur, declared)
+    # a run of factors joined by '*' is multiplied pairwise; a '/' applies
+    # as it is read, so a division by zero raises before what follows
+    run = [_scalar_factor(cur, declared)]
     while cur.current.kind in ("*", "/"):
         op = cur.advance().kind
         rhs = _scalar_factor(cur, declared)
-        value = value * rhs if op == "*" else value / rhs
-    return value
+        if op == "/":
+            run = [_product(run) / rhs]
+        else:
+            run.append(rhs)
+    return _product(run)
+
+
+def _product(factors):
+    """The product of the Scalars factors in log n rounds of pairwise
+    products, not n products each as long as all before it."""
+    while len(factors) > 1:
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [a * b for a, b in zip(factors[::2], factors[1::2])] + odd
+    return factors[0]
 
 
 def _scalar_factor(cur, declared):

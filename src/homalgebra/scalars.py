@@ -24,14 +24,14 @@ the names its keys may use, sorted by name_key, each with a field of
 total degree above all fields.  So a monomial product is one int addition,
 grlex comparison is int comparison, and divisibility is one subtraction
 checked against the guard bit at the top of each field.  Layouts belong to
-polynomials, not to the process: an operation between two layouts works in
-one of them when it holds the names and degrees of both operands, and
-otherwise in a new layout over the union of their names; a product whose
-degree would overflow a field goes to fields twice as wide.  A constant is
-the key 0 in every layout and needs no re-packing, and a caller that knows
-its variables in advance puts them in one layout (Scalar.gens,
-shared_layout), as a table or map does with its constants (one_layout), so
-arithmetic among them never re-packs.  A layout whose
+polynomials, not to the process, and one rule, _fit, picks the layout for
+polynomials that meet: one of theirs when it holds every name and degree
+of all of them, else a new one over the names they use, with fields wide
+enough for the largest degree.  Operands in two layouts (_common), a
+product that would overflow its fields, and a table, map or check that
+puts its values in one layout (shared_layout) so that arithmetic among
+them never re-packs, all go through it; the choice never changes str, ==
+or hash, and a constant is the key 0 in every layout.  A layout whose
 keys would pass _PACK_BITS bits is wide (_Wide): its keys are tuples of
 only the variables a monomial uses, so a term's size follows its own
 variables, not the layout's.  Monomial is the public form of a monomial,
@@ -376,18 +376,6 @@ class _Wide:
         return split
 
 
-def _layout(names, degree=0):
-    """A layout over names (sorted by name_key) whose keys reach degree:
-    fields of 8 bits, doubled until they hold it, or wide if the packed key
-    would pass _PACK_BITS bits."""
-    width = 8
-    while degree >= 1 << (width - 1):
-        width *= 2
-    if (len(names) + 1) * width > _PACK_BITS:
-        return _Wide(names)
-    return _Layout(names, width)
-
-
 _EMPTY = _Layout((), 8)
 
 
@@ -397,6 +385,46 @@ def _is_const(t):
 
 def _degree(p):
     return p.ring.degree(max(p.terms)) if p.terms else 0
+
+
+def _fit(polys, names=(), degree=0):
+    """A layout that holds the polynomials polys, the variables names and
+    the degree degree: the layout of one of polys that holds the names they
+    use and names, and their degrees and degree; else a new one over those
+    names that holds the largest of those degrees.  A constant is the key 0
+    in every layout, so its own does not count."""
+    rings = {p.ring for p in polys}
+    rings.discard(_EMPTY)
+    if len(rings) > 1:
+        rings = {p.ring for p in polys if not _is_const(p.terms)}
+    if len(rings) < 2:
+        # every key of a layout is below its cap
+        ring = rings.pop() if rings else _EMPTY
+        if degree < ring.cap and ring.nameset.issuperset(names):
+            return ring
+    polys = [p for p in polys if not _is_const(p.terms)]
+    # each layout ORs the keys of its polynomials and decodes them once
+    terms = {}
+    for p in polys:
+        terms.setdefault(p.ring, []).append(p.terms)
+    used = set(names).union(*(ring.used(chain.from_iterable(ts))
+                              for ring, ts in terms.items()))
+    degree = max([degree, *map(_degree, polys)])
+    for ring in terms:
+        if degree < ring.cap and ring.nameset >= used:
+            return ring
+    return _layout(tuple(sorted(used, key=name_key)), degree)
+
+
+def _layout(names, degree):
+    """A new layout over names (sorted by name_key) for keys up to degree:
+    8-bit fields doubled until they hold it, or wide past _PACK_BITS."""
+    width = 8
+    while degree >= 1 << (width - 1):
+        width *= 2
+    if (len(names) + 1) * width > _PACK_BITS:
+        return _Wide(names)
+    return _Layout(names, width)
 
 
 def _repack(p, layout):
@@ -412,24 +440,8 @@ def _repack(p, layout):
 
 
 def _common(p, q, product=False):
-    """p and q in one layout that holds the names and degrees of both, and
-    of their product if product is set: the layout of one of them when it
-    does, else a new one over the union of their names.  A constant is the
-    key 0 in every layout, so it takes the other's layout as it is."""
-    a, b = p.ring, q.ring
-    if _is_const(q.terms):
-        return p, _raw(q.terms, a)
-    if _is_const(p.terms):
-        return _raw(p.terms, b), q
-    degree = _degree(p) + _degree(q) if product else 0
-    for layout, other in ((a, b), (b, a)):
-        if (degree < layout.cap and other.cap <= layout.cap
-                and other.nameset <= layout.nameset):
-            break
-    else:
-        names = tuple(sorted(a.nameset | b.nameset, key=name_key))
-        need = max(a.cap, b.cap, degree + 1)
-        layout = _Wide(names) if need == _INF else _layout(names, need - 1)
+    """p and q in one layout (_fit) holding both, and their product if set."""
+    layout = _fit((p, q), (), _degree(p) + _degree(q) if product else 0)
     return _repack(p, layout), _repack(q, layout)
 
 
@@ -539,8 +551,7 @@ class Polynomial:
     def gens(cls, names):
         """The variables names, all in one layout, so that arithmetic among
         them never re-packs a key."""
-        order = sorted(set(names), key=name_key) if len(names) > 1 else names
-        return _gens(_layout(tuple(order)), names)
+        return _gens(_fit((), names), names)
 
     def is_zero(self):
         return not self.terms
@@ -761,9 +772,7 @@ def _from_univariate(coeffs, x):
     out = _ZERO
     for e, poly in coeffs.items():
         if e:
-            layout = poly.ring
-            if x not in layout.nameset or e >= layout.cap:
-                layout = _layout((x,), e)
+            layout = _fit((poly,), (x,), _degree(poly) + e)
             xe = _raw({layout.power(x, e): 1}, layout)
         else:
             xe = _ONE
@@ -1140,28 +1149,33 @@ _S_ONE = Scalar._make(_ONE, _ONE)
 
 
 def shared_layout(values, names=(), degree=0):
-    """(values, gens): the Scalars values re-packed into one layout that
-    holds their variables and names, their degrees and degree, and the
-    variables names as Scalars in that layout, so that arithmetic among all
-    of them never re-packs a key.  A constant (over _ONE, the only
-    denominator 1) is returned as it is: the key 0 is the same in every
-    layout.  For a caller that knows its variables in advance, such as a
-    check on generic elements."""
-    polys = [p for s in values if not (s.den is _ONE and s.num.is_constant())
-             for p in (s.num, s.den)]
-    # each layout ORs the keys of its polynomials and decodes them once
-    terms = {}
-    for p in polys:
-        terms.setdefault(p.ring, []).append(p.terms)
-    used = set(names).union(*(ring.used(chain.from_iterable(ts))
-                              for ring, ts in terms.items()))
-    layout = _layout(tuple(sorted(used, key=name_key)),
-                     max([degree, *map(_degree, polys)]))
-    packed = [s if s.den is _ONE and s.num.is_constant() else
-              Scalar._make(_repack(s.num, layout), _ONE if s.den is _ONE
-                           else _repack(s.den, layout))
-              for s in values]
-    return packed, [Scalar._make(p, _ONE) for p in _gens(layout, names)]
+    """(values, gens): the Scalars values in one layout (_fit) that holds
+    them, the variables names and the degree degree, and those variables as
+    Scalars in it, so that arithmetic among them never re-packs a key: for
+    a table or map built entry by entry, and a check's generic coordinates.
+    values itself comes back when its non-constant polynomials share one
+    layout and no names or degree are asked, found on the ring set alone."""
+    if not (names or degree):
+        rings = {s.num.ring for s in values} | {s.den.ring for s in values}
+        if len(rings - {_EMPTY}) < 2:
+            return values, []
+    layout = _fit([s.num for s in values]
+                  + [s.den for s in values if s.den is not _ONE],
+                  names, degree)
+    return ([s if s.den is _ONE and _is_const(s.num.terms) else
+             Scalar._make(_repack(s.num, layout), _ONE if s.den is _ONE
+                          else _repack(s.den, layout))
+             for s in values],
+            [Scalar._make(p, _ONE) for p in _gens(layout, names)])
+
+
+def declared_variables(names):
+    """The params of parser.parse_scalar_expr for one table and its maps:
+    names as variables in one layout (_fit), so their scalars need no
+    re-pack, or as they are when it would be wide, so each takes its own."""
+    layout = _fit((), names)
+    return names if isinstance(layout, _Wide) else {
+        v: Scalar._make(p, _ONE) for v, p in zip(names, _gens(layout, names))}
 
 
 def _coerce(value):
@@ -1321,19 +1335,6 @@ def _repacked(rows):
     packed = dict(zip(polys, shared_layout([*polys.values()], (), degree)[0]))
     return [[tuple(packed.get(id(s), s) for s in factors)
              for factors in row or ()] for row in rows]
-
-
-def one_layout(values):
-    """The list of Scalars values as it is when its polynomials that are not
-    constants share one layout, else re-packed into one (shared_layout):
-    for a table or a map whose constants were built one by one, each in a
-    layout of its own names, so that products among them never re-pack."""
-    rings = {s.num.ring for s in values} | {s.den.ring for s in values}
-    if len(rings - {_EMPTY}) > 1:
-        # a constant is the key 0 of whatever layout it is in
-        rings = {p.ring for s in values for p in (s.num, s.den)
-                 if not _is_const(p.terms)}
-    return values if len(rings - {_EMPTY}) < 2 else shared_layout(values)[0]
 
 
 def nonzero_constraints(poly):

@@ -110,6 +110,31 @@ class TestLinMaps:
         with pytest.raises(SingularMap, match="no pivot in column 1"):
             invert(mu1.maps["alpha1"])   # alpha1 kills e1
 
+    @pytest.mark.parametrize("zero_col", [0, 1, 3, 5])
+    def test_a_singular_map_stops_at_its_first_missing_pivot(
+            self, monkeypatch, zero_col):
+        # invert raises at the first column without a pivot, having made at
+        # most one pivot past it
+        made = []
+        gauss_jordan = algebra_module._gauss_jordan
+
+        def spy(rows):
+            for pivot in gauss_jordan(rows):
+                made.append(pivot[0])
+                yield pivot
+
+        monkeypatch.setattr(algebra_module, "_gauss_jordan", spy)
+        n = 6
+        a = Scalar.var("a")
+        f = LinMap([[Scalar.zero() if j == zero_col else
+                     a + i * j if i == j or j == i + 1 else Scalar.zero()
+                     for j in range(n)] for i in range(n)])
+        with pytest.raises(SingularMap,
+                           match=r"no pivot in column %d\)$" % zero_col):
+            invert(f)
+        assert made[:zero_col] == list(range(zero_col))
+        assert len(made) == zero_col + 1 and made[-1] > zero_col
+
     def test_invert_roundtrip_dense(self):
         rows = [["1", "a", "0"], ["0", "1", "b"], ["1", "0", "1"]]
         f = LinMap([[Scalar.var(x) if x in ("a", "b") else

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import pytest
 
-# seconds one invocation may take; the slowest here (check-morphism of
-# the 2000-parameter file, which it loads twice) take about 1.4 s on 2 CPUs
+# seconds one invocation may take; the slowest here (verify and
+# check-morphism of the 2000-parameter file) take about 0.2 s on 2 CPUs
 BOUND = 10
 SUBPROCESS_TIMEOUT = 120
 

@@ -4,7 +4,12 @@ import random
 
 import pytest
 
-from homalgebra.errors import ArityError, ParseError, UndeclaredParameter
+from homalgebra.errors import (
+    ArityError,
+    DivisionByZero,
+    ParseError,
+    UndeclaredParameter,
+)
 from homalgebra.identities import (
     Alpha,
     IdentityAST,
@@ -17,7 +22,7 @@ from homalgebra.identities import (
     is_multilinear,
 )
 from homalgebra.parser import parse_identity, parse_scalar_expr
-from homalgebra.scalars import Scalar
+from homalgebra.scalars import Scalar, declared_variables
 
 
 class TestScalarExpressions:
@@ -50,6 +55,49 @@ class TestScalarExpressions:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_scalar_expr("a )", ["a"])
+
+    def test_a_long_product_equals_the_left_fold(self):
+        names = ["p%d" % i for i in range(1, 2001)]
+        declared = declared_variables(names)
+        fold = Scalar.one()
+        for g in Scalar.gens(names):
+            fold = fold * g
+        s = parse_scalar_expr("*".join(names), declared)
+        assert s == fold and str(s) == str(fold) and hash(s) == hash(fold)
+
+    def test_products_and_quotients_equal_the_left_fold(self):
+        rng = random.Random(11)
+        gens = dict(zip("abc", Scalar.gens(["a", "b", "c"])))
+        for _ in range(40):
+            factors = [rng.choice(["a", "b", "c", "2", "(a+1)", "(b-c)"])
+                       for _ in range(rng.randint(1, 9))]
+            ops = [rng.choice("**/") for _ in factors[1:]]
+            values = [parse_scalar_expr(f, list(gens)) for f in factors]
+            fold = values[0]
+            for op, v in zip(ops, values[1:]):
+                fold = fold * v if op == "*" else fold / v
+            text = factors[0] + "".join(o + f for o, f in zip(ops, factors[1:]))
+            assert parse_scalar_expr(text, list(gens)) == fold
+            assert parse_scalar_expr(text, gens) == fold
+
+    def test_errors_in_a_product_are_unchanged(self):
+        with pytest.raises(UndeclaredParameter) as exc:
+            parse_scalar_expr("a*b*undeclared", ["a", "b"])
+        assert str(exc.value) == ("undeclared parameter 'undeclared' "
+                                  "(line 1, column 5)")
+        assert (exc.value.offset, exc.value.expected, exc.value.found) == (
+            4, "declared parameter", "undeclared")
+        # a division raises as it is read, before a later factor is parsed
+        for text in ("1/0*x", "a*b/0*c*(", "2*a/(a-a)*q"):
+            with pytest.raises(DivisionByZero,
+                               match="^division by the zero scalar$"):
+                parse_scalar_expr(text, ["a", "b", "c"])
+        with pytest.raises(ParseError) as exc:
+            parse_scalar_expr("a*(b", ["a", "b"])
+        assert str(exc.value) == ("expected closing parenthesis, found "
+                                  "'end of input' (line 1, column 5)")
+        assert (exc.value.expected, exc.value.found) == (
+            "closing parenthesis", "")
 
     def test_roundtrip_printed_scalars(self, rng):
         from conftest import random_scalar

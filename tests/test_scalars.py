@@ -2,6 +2,7 @@
 specialization.  Expected values are computed independently (plain Fraction
 arithmetic or by hand) before being asserted."""
 
+import ast
 import json
 import os
 import random
@@ -26,11 +27,13 @@ from homalgebra.scalars import (
     Monomial,
     Polynomial,
     Scalar,
+    declared_variables,
     exact_div,
     name_key,
     nonzero_constraints,
     normalize,
     poly_gcd,
+    shared_layout,
 )
 from homalgebra import scalars
 from homalgebra.fileio import loads
@@ -1126,6 +1129,88 @@ class TestLayouts:
         finally:
             scalars._PACK_BITS = saved
         assert square == packed_square and str(square) == str(packed_square)
+
+
+class TestOneLayoutRule:
+    """scalars._fit picks the layout for every caller: the layout of one of
+    the polynomials when it holds all of them, else a new one over the names
+    they use, its fields sized to the largest degree."""
+
+    def test_values_in_one_layout_come_back_as_they_are(self):
+        a, b, c = Scalar.gens(["a", "b", "c"])
+        values = [a * b + 1, Scalar.from_fraction(Fraction(2, 3)), c / (a + 1),
+                  Scalar.zero(), (b + 1) - b]
+        assert shared_layout(values)[0] is values
+        assert shared_layout([])[0] == []
+
+    def test_values_from_two_layouts_meet_in_one(self):
+        a, b = Scalar.gens(["a", "b"])
+        values = [a * b + 1, S("c") ** 2 / (S("a") + 3), Scalar.one()]
+        packed, gens = shared_layout(values, ["x"])
+        assert packed is not values and packed == values
+        assert [str(s) for s in packed] == [str(s) for s in values]
+        rings = {p.ring for s in packed + gens for p in (s.num, s.den)
+                 if not p.is_constant()}
+        assert len(rings) == 1
+        assert rings.pop().names == ("a", "b", "c", "x")
+        assert packed[2] is values[2]
+
+    def test_common_keeps_a_layout_that_holds_the_other(self):
+        a, b, c = Polynomial.gens(["a", "b", "c"])
+        big = a * b + c
+        small = P("b") * P("b") + Polynomial.const(1)
+        for p, q in ((big, small), (small, big)):
+            p2, q2 = scalars._common(p, q)
+            assert p2.ring is q2.ring is big.ring
+            assert p2 == p and q2 == q
+        # the constant takes the other's layout as it is
+        one = Polynomial.const(7)
+        assert scalars._common(one, small)[0].ring is small.ring
+
+    def test_a_product_past_the_cap_widens_the_fields(self):
+        a, b, c = Polynomial.gens(["a", "b", "c"])
+        p = Polynomial({Monomial({"a": 100}): 1, Monomial({"a": 1}): 1})
+        assert p.ring.width == 8 and p.ring.names == ("a",)
+        square = p * p
+        assert square.ring.width == 16 and square.ring.names == ("a",)
+        assert str(square) == "a^200 + 2*a^101 + a^2"
+        # a new layout holds the names the operands use, not all the names
+        # of their layouts
+        q = b * Polynomial({Monomial({"b": 29}): 1})
+        assert q.ring is b.ring and q.ring.names == ("a", "b", "c")
+        p2, q2 = scalars._common(p, q, product=True)
+        assert p2.ring is q2.ring
+        assert p2.ring.names == ("a", "b") and p2.ring.width == 16
+        assert p * q == q * p and str(p * q) == "a^100*b^30 + a*b^30"
+        # below the cap, q's layout holds p and their product
+        assert scalars._common(p, b * b, product=True)[0].ring is b.ring
+
+    def test_declared_variables(self):
+        three = declared_variables(["b", "a2", "a10"])
+        assert list(three) == ["b", "a2", "a10"]
+        assert len({s.num.ring for s in three.values()}) == 1
+        assert all(s == S(v) for v, s in three.items())
+        names = ["p%d" % i for i in range(1, 2001)]
+        assert declared_variables(names) is names
+
+    def test_only_scalars_knows_the_layout_classes(self):
+        # _Wide, _Layout and _layout are private to scalars.py: every other
+        # module asks it (shared_layout, declared_variables) instead
+        src = Path(scalars.__file__).parent
+        private = {"_Wide", "_Layout", "_layout"}
+        users = set()
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        None)
+                if name in private:
+                    users.add(path.name)
+                if isinstance(node, ast.ImportFrom):
+                    if private & {a.name for a in node.names}:
+                        users.add(path.name)
+        assert users == {"scalars.py"}
 
 
 # A product whose degree would overflow a field goes to fields twice as
