@@ -21,13 +21,14 @@ sums the products with denominator 1 in one coefficient dict and folds
 those with a real denominator, as in the alt4 tables, in Scalar products
 and sums that cancel it as they go (Henrici).  A spec keeps its structure
 constants and twist map in one layout, and a map its entries, so products
-among them never re-pack.
+among them never re-pack (scalars.shared_layout, in_layout); a copy is
+given its layout (LinMap._in, AlgebraSpec._copy).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain
 
 from .errors import (
     DimensionMismatch,
@@ -42,6 +43,7 @@ from .scalars import (
     _coerce,
     _raw,
     _sums_of_products,
+    in_layout,
     name_key,
     nonzero_constraints,
     normalize,
@@ -131,26 +133,26 @@ def _same_dim(u, v):
 
 class LinMap:
     """Square matrix of Scalars; column j is the image of basis vector j.
-    The entries are in one layout (scalars.shared_layout)."""
+    The entries are in one layout (scalars.shared_layout, in_layout)."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(_coerce(x) for x in row) for row in rows)
+        # lists for now: _in makes the rows, in the layout
+        self.rows = [[_coerce(x) for x in row] for row in rows]
         n = len(self.rows)
         if any(len(row) != n for row in self.rows):
             raise DimensionMismatch("linear map matrix must be square")
-        values = [x for row in self.rows for x in row]
-        packed = shared_layout(values)[0]
-        if packed is not values:
-            packed = iter(packed)
-            self.rows = tuple(tuple(islice(packed, n)) for _ in self.rows)
+        self.rows = self._in(shared_layout(
+            [*chain.from_iterable(self.rows)])[0]).rows
 
-    def _copy(self, scalars):
-        """This map with equal entries taken, row by row, from the iterator
-        scalars (such as re-packed ones), which skip coercion."""
+    def _in(self, layout):
+        """This map with its entries in layout, which holds them."""
         g = LinMap.__new__(LinMap)
-        g.rows = tuple(tuple(islice(scalars, self.dim)) for _ in self.rows)
+        home = (layout, _ONE.ring)   # as in _set_table
+        g.rows = tuple([tuple([x if x.den is _ONE and x.num.ring in home
+                               else in_layout(x, layout) for x in row])
+                        for row in self.rows])
         return g
 
     @classmethod
@@ -334,7 +336,7 @@ class AlgebraSpec:
     (i, j) -> {k: Scalar}; omitted products are zero.  alpha, when present,
     is the twisting map of the Hom-structure.  unit is an optional basis
     index.  The structure constants and alpha's entries are in one layout
-    (scalars.shared_layout).
+    (scalars.shared_layout, in_layout).
     """
 
     __slots__ = ("name", "dim", "basis", "params", "mu", "alpha", "unit",
@@ -371,38 +373,39 @@ class AlgebraSpec:
                                  % sorted(extra))
             entries.append((i, j, k, c))
         entries.sort(key=lambda e: e[:3])
-        self._set_table(entries, alpha)
+        self._set_table(entries, alpha, None)
         if unit is not None and not (0 <= unit < dim):
             raise ValueError("unit index out of range")
         self.unit = unit
 
-    def _copy(self, mu, alpha):
-        """This spec with the entries mu, equal to self.mu's in their order
-        (such as re-packed ones), and the twist map alpha; only alpha's
-        dimension is checked, as self's table was validated."""
+    def _copy(self, alpha, layout):
+        """This spec with the twist map alpha, all in layout (see _set_table);
+        only alpha's dimension is checked, as self's table was validated."""
         A = AlgebraSpec.__new__(AlgebraSpec)
         A.name, A.dim, A.basis = self.name, self.dim, self.basis
         A.params, A.unit = self.params, self.unit
-        A._set_table(mu, alpha)
+        A._set_table(self.mu, alpha, layout)
         return A
 
-    def _set_table(self, mu, alpha):
+    def _set_table(self, mu, alpha, layout):
         """Set mu, alpha and _table ({(i, j): [(k, c), ...]}) from the
         entries mu and the twist map alpha (None or of dimension dim), their
-        Scalars in one layout (scalars.shared_layout)."""
+        Scalars in layout, or in one that holds them if it is None."""
         if alpha is not None and alpha.dim != self.dim:
             raise DimensionMismatch("twisting map dimension %d vs algebra "
                                     "dimension %d" % (alpha.dim, self.dim))
-        values = [c for _, _, _, c in mu]
-        if alpha is not None:
-            values += alpha.scalars()
-        packed = shared_layout(values)[0]
-        if packed is not values:
-            packed = iter(packed)
-            mu = [(i, j, k, next(packed)) for i, j, k, _ in mu]
-            alpha = None if alpha is None else alpha._copy(packed)
-        self.mu, self.alpha, self._table = tuple(mu), alpha, {}
-        table = self._table
+        if layout is None:
+            values = [e[3] for e in mu]
+            if alpha is not None:
+                values += chain.from_iterable(alpha.rows)
+            layout = shared_layout(values)[0]
+        # in_layout's own test, inline for the many entries already there:
+        # denominator 1 and the numerator in layout or a constant's layout
+        home = (layout, _ONE.ring)
+        self.mu = tuple([e if e[3].den is _ONE and e[3].num.ring in home
+                         else (*e[:3], in_layout(e[3], layout)) for e in mu])
+        self.alpha = None if alpha is None else alpha._in(layout)
+        self._table = table = {}
         for i, j, k, c in self.mu:
             table.setdefault((i, j), []).append((k, c))
 
@@ -446,7 +449,7 @@ class AlgebraSpec:
         return tuple(p.name for p in self.params)
 
     def with_alpha(self, alpha):
-        return self._copy(self.mu, alpha)
+        return self._copy(alpha, None)
 
     def with_identity_alpha(self):
         return self.with_alpha(identity(self.dim))
@@ -552,10 +555,11 @@ def _generic_elements(tables, variables, scalars=(), uses_alpha=False,
     """The tables (one or two), the map f (or None), the twist maps if
     uses_alpha and the Scalars scalars (a candidate unit, the coefficients
     of an identity) copied into one layout with the generic coordinates of
-    variables, so an evaluation never re-packs a key: the tables, f, those
-    names (a list per variable), {var: generic element} and the scalars.
-    The coordinates of var are var_1, var_2, ..., each prefixed with g until
-    it avoids every variable of these and every earlier name."""
+    variables, so an evaluation never re-packs a key: the tables (with no
+    twist map unless uses_alpha), f, those names (a list per variable),
+    {var: generic element} and the scalars.  The coordinates of var are
+    var_1, var_2, ..., each prefixed with g until it avoids every variable
+    of these and every earlier name."""
     dim = tables[0].dim
     maps = [f] * (f is not None) + [T.alpha for T in tables] * uses_alpha
     mus = [c for T in tables for c in T.mu_scalars()]
@@ -574,18 +578,14 @@ def _generic_elements(tables, variables, scalars=(), uses_alpha=False,
                 name = "g" + name
             avoid.add(name)
             names.append(name)
-    packed, coords = shared_layout(mus + entries + scalars, names)
-    packed = iter(packed)
-    mus = [[(i, j, k, next(packed)) for i, j, k, _ in T.mu] for T in tables]
-    maps = [m._copy(packed) for m in maps]
-    if f is not None:
-        f = maps.pop(0)
-    alphas = maps or [T.alpha for T in tables]
+    layout, coords = shared_layout(mus + entries + scalars, names)
     cut = range(0, len(names), dim)
-    return ([T._copy(mu, alpha) for T, mu, alpha in zip(tables, mus, alphas)],
-            f, [names[n:n + dim] for n in cut],
+    return ([T._copy(T.alpha if uses_alpha else None, layout)
+             for T in tables], None if f is None else f._in(layout),
+            [names[n:n + dim] for n in cut],
             {var: Vector._of(coords[n:n + dim])
-             for var, n in zip(variables, cut)}, list(packed))
+             for var, n in zip(variables, cut)},
+            [in_layout(s, layout) for s in scalars])
 
 
 def _basis_witness(value, names, at_labels, labels):

@@ -17,7 +17,7 @@ import json
 
 from .algebra import AlgebraSpec, LinMap, Param
 from .errors import DivisionByZero, ParseError, ValidationError
-from .parser import parse_scalar_expr
+from .parser import _tokenize, parse_scalar_expr
 from .record import Record
 from .scalars import declared_variables
 
@@ -72,7 +72,16 @@ def loads(text, source="<string>"):
         if not isinstance(p, dict) or "name" not in p:
             raise ValidationError("%s: params[%d] must be {name, nonzero}"
                                   % (source, pos))
-        params.append(Param(str(p["name"]), bool(p.get("nonzero", False))))
+        if not _is_name(p["name"]):
+            raise ValidationError("%s: params[%d].name must be one identifier,"
+                                  " not %s" % (source, pos,
+                                               json.dumps(p["name"])))
+        nonzero = p.get("nonzero", False)
+        if not isinstance(nonzero, bool):
+            raise ValidationError("%s: params[%d].nonzero must be true or "
+                                  "false, not %s" % (source, pos,
+                                                     json.dumps(nonzero)))
+        params.append(Param(p["name"], nonzero))
     param_names = [p.name for p in params]
     if len(set(param_names)) != len(param_names):
         raise ValidationError("%s: duplicate parameter declaration" % source)
@@ -89,6 +98,11 @@ def loads(text, source="<string>"):
     declared = declared_variables(param_names)
 
     def parse(expr, where):
+        # a JSON true or null is no scalar, though str() would make it a name
+        if type(expr) not in (str, int):
+            raise ValidationError("%s: %s must be a string or an integer, "
+                                  "not %s" % (source, where, json.dumps(expr)))
+        expr = str(expr)
         value = parsed.get(expr)
         if value is None:
             try:
@@ -111,7 +125,7 @@ def loads(text, source="<string>"):
         j = resolve(entry["j"], where)
         for lk, expr in entry["value"].items():
             k = resolve(lk, where + ".value")
-            mu.append((i, j, k, parse(str(expr), "%s.value[%s]" % (where, lk))))
+            mu.append((i, j, k, parse(expr, "%s.value[%s]" % (where, lk))))
 
     maps = {}
     for mname, matrix in sorted(_need(doc, "maps", dict, source,
@@ -122,7 +136,7 @@ def loads(text, source="<string>"):
                        for row in matrix)):
             raise ValidationError("%s: %s must be a %dx%d matrix"
                                   % (source, where, dim, dim))
-        rows = [[parse(str(matrix[r][c]), "%s[%d][%d]" % (where, r, c))
+        rows = [[parse(matrix[r][c], "%s[%d][%d]" % (where, r, c))
                  for c in range(dim)] for r in range(dim)]
         maps[mname] = LinMap(rows)
 
@@ -143,6 +157,16 @@ def loads(text, source="<string>"):
     except ValueError as exc:
         raise ValidationError("%s: %s" % (source, exc)) from None
     return AlgebraFile(algebra=algebra, maps=maps, twist=twist)
+
+
+def _is_name(name):
+    """Does the scalar grammar read name as exactly one identifier?"""
+    try:
+        tokens = _tokenize(name) if isinstance(name, str) else ()
+    except ParseError:
+        return False
+    return len(tokens) == 2 and tokens[0].kind == "ident" \
+        and tokens[0].text == name
 
 
 def _need(doc, key, kind, source, default=None):

@@ -29,16 +29,16 @@ polynomials that meet: one of theirs when it holds every name and degree
 of all of them, else a new one over the names they use, with fields wide
 enough for the largest degree.  Operands in two layouts (_common), a
 product that would overflow its fields, and a table, map or check that
-puts its values in one layout (shared_layout) so that arithmetic among
-them never re-packs, all go through it; the choice never changes str, ==
-or hash, and a constant is the key 0 in every layout.  A layout whose
-keys would pass _PACK_BITS bits is wide (_Wide): its keys are tuples of
-only the variables a monomial uses, so a term's size follows its own
-variables, not the layout's.  Monomial is the public form of a monomial,
-built only where monomials enter or leave this module; a caller that reads
-values off keys, as a check's witness does, splits them with the layout's
-splitter instead.  The zero and one polynomials and Scalars are shared
-constants.
+puts its values in one layout (shared_layout picks it, in_layout moves
+each value in) so that arithmetic among them never re-packs, all go
+through it; the choice never changes str, == or hash, and a constant is
+the key 0 in every layout.  A layout whose keys would pass _PACK_BITS bits
+is wide (_Wide): its keys are tuples of only the variables a monomial
+uses, so a term's size follows its own variables, not the layout's.
+Monomial is the public form of a monomial, built only where monomials
+enter or leave this module; a caller that reads values off keys, as a
+check's witness does, splits them with the layout's splitter instead.  The
+zero and one polynomials and Scalars are shared constants.
 
 A power takes no gcd: num^n and den^n stay coprime when num and den are, so
 s ** n is canonical by construction once its denominator is made monic.  A
@@ -833,11 +833,6 @@ def exact_div(p, d):
 def poly_gcd(p, q):
     """Gcd of multivariate polynomials over Q, normalized monic: GCDHEU
     (_heu_gcd) for two multi-term operands, and the PRS past its cap."""
-    return _gcd(p, q, _heu_gcd)
-
-
-def _gcd(p, q, multi):
-    """poly_gcd, with multi taking two multi-term operands in one layout."""
     if p.is_zero():
         return _monic(q)
     if q.is_zero():
@@ -854,7 +849,7 @@ def _gcd(p, q, multi):
             for m in poly.terms:
                 g = m if g is None else layout.gcd(g, m)
         return _raw({g: 1}, layout)
-    return multi(p, q)
+    return _heu_gcd(p, q)
 
 
 def _heu_gcd(p, q):
@@ -965,17 +960,17 @@ def _primitive(coeffs):
     in its univariate view."""
     content = _ZERO
     for _, c in sorted(coeffs.items()):
-        content = _gcd(content, c, _prs_gcd)
+        content = poly_gcd(content, c)
     return content, {e: exact_div(c, content) for e, c in coeffs.items()}
 
 
 def _prs_gcd(p, q):
     """Primitive PRS of two multi-term polynomials in one layout, in their
-    earliest variable, its content gcds PRS too."""
+    earliest variable."""
     x = p.ring.used([*p.terms, *q.terms])[0]
     cont_p, a = _primitive(_as_univariate(p, x))
     cont_q, b = _primitive(_as_univariate(q, x))
-    cont = _gcd(cont_p, cont_q, _prs_gcd)
+    cont = poly_gcd(cont_p, cont_q)
     if _univ_degree(a) < _univ_degree(b):
         a, b = b, a
     while b:
@@ -1149,24 +1144,26 @@ _S_ONE = Scalar._make(_ONE, _ONE)
 
 
 def shared_layout(values, names=(), degree=0):
-    """(values, gens): the Scalars values in one layout (_fit) that holds
-    them, the variables names and the degree degree, and those variables as
-    Scalars in it, so that arithmetic among them never re-packs a key: for
-    a table or map built entry by entry, and a check's generic coordinates.
-    values itself comes back when its non-constant polynomials share one
-    layout and no names or degree are asked, found on the ring set alone."""
-    if not (names or degree):
-        rings = {s.num.ring for s in values} | {s.den.ring for s in values}
-        if len(rings - {_EMPTY}) < 2:
-            return values, []
+    """(layout, gens): the layout (_fit) that holds the Scalars values, the
+    variables names and the degree degree, and those variables as Scalars
+    in it: for a table or map built entry by entry, and a check's generic
+    coordinates.  Each value moves in with in_layout, so that arithmetic
+    among them never re-packs a key."""
     layout = _fit([s.num for s in values]
                   + [s.den for s in values if s.den is not _ONE],
                   names, degree)
-    return ([s if s.den is _ONE and _is_const(s.num.terms) else
-             Scalar._make(_repack(s.num, layout), _ONE if s.den is _ONE
-                          else _repack(s.den, layout))
-             for s in values],
-            [Scalar._make(p, _ONE) for p in _gens(layout, names)])
+    return layout, [Scalar._make(p, _ONE) for p in _gens(layout, names)]
+
+
+def in_layout(s, layout):
+    """The Scalar s in layout, which holds it: s itself when it is there (a
+    constant is there in every layout)."""
+    num, den = s.num, s.den
+    if (den is _ONE and _is_const(num.terms)
+            or num.ring is layout and den.ring in (layout, _EMPTY)):
+        return s
+    return Scalar._make(_repack(num, layout),
+                        den if den is _ONE else _repack(den, layout))
 
 
 def declared_variables(names):
@@ -1332,7 +1329,8 @@ def _repacked(rows):
             mine = [s for s in factors if not s.num.is_constant()]
             polys.update((id(s), s) for s in mine)
             degree = max(degree, sum(_degree(s.num) for s in mine))
-    packed = dict(zip(polys, shared_layout([*polys.values()], (), degree)[0]))
+    layout = shared_layout([*polys.values()], (), degree)[0]
+    packed = {i: in_layout(s, layout) for i, s in polys.items()}
     return [[tuple(packed.get(id(s), s) for s in factors)
              for factors in row or ()] for row in rows]
 

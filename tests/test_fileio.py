@@ -135,6 +135,72 @@ def test_bad_matrix_shape_rejected():
         loads(text)
 
 
+def _one_param_file(param, value="a"):
+    return json.dumps({
+        "name": "t", "dim": 1, "basis": ["x"], "params": [param],
+        "mu": [{"i": "x", "j": "x", "value": {"x": value}}],
+    })
+
+
+@pytest.mark.parametrize("nonzero", ["false", "true", 0, 1, None])
+def test_nonzero_must_be_a_json_boolean(nonzero):
+    # bool("false") is true: a string would load as nonzero and save back
+    # as true
+    with pytest.raises(ValidationError, match=r"params\[0\]\.nonzero"):
+        loads(_one_param_file({"name": "a", "nonzero": nonzero}))
+    for flag in (False, True):
+        A = loads(_one_param_file({"name": "a", "nonzero": flag})).algebra
+        assert A.params == (Param("a", flag),)
+        assert json.loads(saves(A))["params"] == [
+            {"name": "a", "nonzero": flag}]
+
+
+@pytest.mark.parametrize("name", [5, "", "p q", " a", "a$", "2a", "a+b",
+                                  None, ["a"]])
+def test_a_parameter_name_is_one_identifier(name):
+    # no scalar expression could refer to these names
+    with pytest.raises(ValidationError, match=r"params\[0\]\.name") as exc:
+        loads(_one_param_file({"name": name}, "1"))
+    assert json.dumps(name) in str(exc.value)
+
+
+@pytest.mark.parametrize("name", ["a", "_", "a_2", "alpha10", "B_x"])
+def test_identifier_names_load(name):
+    A = loads(_one_param_file({"name": name}, name)).algebra
+    assert A.param_names() == (name,)
+    assert A.mu[0][3] == Scalar.var(name)
+
+
+@pytest.mark.parametrize("value", [True, False, None, 1.5, [1], {"a": 1}])
+def test_a_scalar_entry_is_a_string_or_an_integer(value):
+    # a JSON true or null is no scalar, and must not be read as the
+    # parameter 'True' or 'None'
+    for doc in (_one_param_file({"name": "a"}, value),
+                json.dumps({"name": "t", "dim": 1, "basis": ["x"],
+                            "maps": {"f": [[value]]}})):
+        with pytest.raises(ValidationError,
+                           match="must be a string or an integer") as exc:
+            loads(doc)
+        assert "undeclared" not in str(exc.value)
+
+
+def test_integer_entries_load_as_their_strings():
+    A = loads(_one_param_file({"name": "a"}, -3)).algebra
+    assert A.mu[0][3] == Scalar.from_fraction(-3)
+    f = loads(json.dumps({"name": "t", "dim": 1, "basis": ["x"],
+                          "maps": {"f": [[7]]}})).maps["f"]
+    assert f == LinMap([[7]])
+
+
+def test_a_bad_declaration_exits_2_with_a_message(tmp_path, capsys):
+    from homalgebra import cli
+    path = tmp_path / "bad.json"
+    path.write_text(_one_param_file({"name": "a", "nonzero": "false"}))
+    assert cli.main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "params[0].nonzero must be true or false" in err
+
+
 def test_save_is_deterministic(tmp_path):
     entry = catalog.get("alt4_mu1_twist_alpha2")
     first = saves(entry.algebra, maps=entry.maps)

@@ -1,13 +1,14 @@
 """Identity evaluation, the two checking strategies, multilinearity and the
 builtin catalog."""
 
+import collections
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from homalgebra import catalog, identities, scalars
+from homalgebra import algebra, catalog, identities, scalars
 from homalgebra.algebra import (
     AlgebraSpec,
     LinMap,
@@ -462,6 +463,56 @@ def test_generic_elements_copy_the_validated_table():
             fresh = LinMap(packed.rows)
             assert packed == m and packed is not m
             assert packed.rows == fresh.rows
+
+
+def test_a_check_puts_its_table_in_one_layout_once(monkeypatch):
+    # a check finds one layout for the table and its generic coordinates
+    # (one shared_layout call; its copies make none, and each power of
+    # alpha made by compose is a new map with a call of its own), moves
+    # each entry into it at most once (a Scalar held by n entries at most n
+    # times), and leaves the twist map alone when the identity never
+    # applies it
+    layouts, repacked, composed = [], [], []
+    shared, repack = scalars.shared_layout, scalars._repack
+    compose = identities.compose
+
+    def compose_spy(f, g):
+        composed.append(f)
+        return compose(f, g)
+
+    def shared_spy(*args):
+        layouts.append(args)
+        return shared(*args)
+
+    def repack_spy(p, layout):
+        repacked.append(id(p))
+        return repack(p, layout)
+
+    def polys(values):
+        return collections.Counter(id(p) for c in values
+                                   for p in (c.num, c.den)
+                                   if not p.is_constant())
+
+    monkeypatch.setattr(algebra, "shared_layout", shared_spy)
+    monkeypatch.setattr(scalars, "shared_layout", shared_spy)
+    monkeypatch.setattr(scalars, "_repack", repack_spy)
+    monkeypatch.setattr(identities, "compose", compose_spy)
+    for key in _TABLES:
+        A = _table(key)
+        entries, twist = polys(A.mu_scalars()), polys(A.alpha.scalars())
+        for name in builtin_names():
+            for ast in builtin(name).asts:
+                del layouts[:], repacked[:], composed[:]
+                check(A, ast)
+                assert len(layouts) == 1 + len(composed), (key, name)
+                uses_alpha = any(isinstance(n, Alpha)
+                                 for n in _subterms(ast.body))
+                held = entries + twist if uses_alpha else entries
+                counts = collections.Counter(repacked)
+                assert all(counts[p] <= held[p] for p in entries | twist), \
+                    (key, name)
+                if not uses_alpha:
+                    assert not (twist.keys() - entries.keys()) & counts.keys()
 
 
 class TestGenericElements:

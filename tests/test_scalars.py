@@ -29,6 +29,7 @@ from homalgebra.scalars import (
     Scalar,
     declared_variables,
     exact_div,
+    in_layout,
     name_key,
     nonzero_constraints,
     normalize,
@@ -1140,20 +1141,26 @@ class TestOneLayoutRule:
         a, b, c = Scalar.gens(["a", "b", "c"])
         values = [a * b + 1, Scalar.from_fraction(Fraction(2, 3)), c / (a + 1),
                   Scalar.zero(), (b + 1) - b]
-        assert shared_layout(values)[0] is values
-        assert shared_layout([])[0] == []
+        layout, gens = shared_layout(values)
+        assert layout is a.num.ring and gens == []
+        assert all(in_layout(s, layout) is s for s in values)
+        layout, gens = shared_layout([])
+        assert layout.names == () and gens == []
 
     def test_values_from_two_layouts_meet_in_one(self):
         a, b = Scalar.gens(["a", "b"])
         values = [a * b + 1, S("c") ** 2 / (S("a") + 3), Scalar.one()]
-        packed, gens = shared_layout(values, ["x"])
-        assert packed is not values and packed == values
-        assert [str(s) for s in packed] == [str(s) for s in values]
-        rings = {p.ring for s in packed + gens for p in (s.num, s.den)
+        layout, gens = shared_layout(values, ["x"])
+        assert layout.names == ("a", "b", "c", "x")
+        moved = [in_layout(s, layout) for s in values]
+        assert moved == values
+        assert [str(s) for s in moved] == [str(s) for s in values]
+        rings = {p.ring for s in moved + gens for p in (s.num, s.den)
                  if not p.is_constant()}
-        assert len(rings) == 1
-        assert rings.pop().names == ("a", "b", "c", "x")
-        assert packed[2] is values[2]
+        assert rings == {layout}
+        # a value already in the layout comes back as itself
+        assert moved[2] is values[2]
+        assert all(in_layout(s, layout) is s for s in moved + gens)
 
     def test_common_keeps_a_layout_that_holds_the_other(self):
         a, b, c = Polynomial.gens(["a", "b", "c"])
@@ -1194,10 +1201,11 @@ class TestOneLayoutRule:
         assert declared_variables(names) is names
 
     def test_only_scalars_knows_the_layout_classes(self):
-        # _Wide, _Layout and _layout are private to scalars.py: every other
-        # module asks it (shared_layout, declared_variables) instead
+        # the layout classes and the functions that make and fill layouts
+        # are private to scalars.py: every other module asks it
+        # (shared_layout, in_layout, declared_variables) instead
         src = Path(scalars.__file__).parent
-        private = {"_Wide", "_Layout", "_layout"}
+        private = {"_Wide", "_Layout", "_layout", "_repack", "_fit", "_gens"}
         users = set()
         for path in sorted(src.glob("*.py")):
             tree = ast.parse(path.read_text())
